@@ -1,6 +1,6 @@
 # Developer entry points for the DeepN-JPEG reproduction.
 #
-#   make check        # gofmt gate + vet + build + race suite + sampling matrix + fuzz smoke
+#   make check        # gofmt gate + vet + build + race suite + sampling matrix + fuzz smoke + perfbench self-test
 #   make test         # plain test run (what tier-1 verification executes)
 #   make test-amd64v3 # build+test under GOAMD64=v3 (AVX2-era codegen)
 #   make bench        # DCT/codec/pipeline benchmarks with allocation reporting
@@ -17,9 +17,9 @@ FUZZTIME ?= 5s
 # PR number when recording a data point, e.g. `make bench-json PR=4`.
 PR ?= dev
 
-.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive hub bench bench-txt bench-compare bench-json serve-bench fuzz-smoke
+.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive hub perfbench-selftest bench bench-txt bench-compare bench-json serve-bench fuzz-smoke
 
-check: fmt vet build build-386 race sampling progressive hub fuzz-smoke
+check: fmt vet build build-386 race sampling progressive hub perfbench-selftest fuzz-smoke
 
 fmt:
 	@out="$$($(GOFMT) -l .)" || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -81,6 +81,14 @@ hub:
 	$(GO) test ./internal/profilehub
 	$(GO) test -run 'TestRegistryLazyFetch|TestSyncSource|TestWatchSyncs|TestLazyFetchSingleFlight|TestSignature|TestReadSignature|TestGC|TestCompare|TestWriteFileAtomic|TestReadChecksum' ./internal/profile
 	$(GO) test -run 'TestFleet|TestServerHub' ./internal/server
+
+# Benchmark self-test leg: perfbench/ is a module of its own (it uses
+# this one through a replace directive), so `go vet ./...` and
+# `go test ./...` at the root never compile it. Vetting and testing it
+# here keeps the benchmark building against the codec's current API.
+# Offline, a few seconds.
+perfbench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Native-fuzz smoke leg: a few seconds per target over the checked-in
 # corpus plus fresh mutations — catches decoder panics before CI does a

@@ -60,6 +60,10 @@
 // steady-state decode loop allocation-free on top of the pooled decoder
 // state every decode already shares; the batch APIs additionally keep
 // one decoded working set per pool worker for the life of a batch.
+// Internally a decode stops at the quantized DCT coefficients, where
+// every error surfaces, and pixels are reconstructed only when an image
+// is produced (DecodeGray reconstructs luma alone). The requantize paths
+// never reconstruct pixels at all.
 //
 // # Archive requantization
 //
@@ -355,8 +359,9 @@ func (c *Codec) EncodeGrayBatch(ctx context.Context, imgs []*Gray, opts BatchOpt
 // DecodeOptions configures the decode-side APIs.
 type DecodeOptions struct {
 	// Transform selects the inverse block-transform engine used for
-	// pixel reconstruction; TransformAAN is the fast path. Engines agree
-	// within one grey level (they differ only in IDCT rounding).
+	// pixel reconstruction, which runs after the stream has decoded to
+	// coefficients; TransformAAN is the fast path. Engines agree within
+	// one grey level (they differ only in IDCT rounding).
 	Transform Transform
 	// MaxPixels rejects streams whose declared width×height exceeds it
 	// (0 = unlimited). Set it when decoding untrusted bytes: the decoder

@@ -11,6 +11,8 @@ package jpegcodec
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/imgutil"
@@ -160,5 +162,57 @@ func TestDecodeIntoRGBIntoAllocsSteadyState(t *testing.T) {
 	t.Logf("pooled DecodeInto+RGBInto: %.1f allocs/op", allocs)
 	if allocs > 4 {
 		t.Fatalf("steady-state DecodeInto+RGBInto makes %.1f allocs/op, want ≤ 4", allocs)
+	}
+}
+
+// TestDecodeReconstructZeroAllocs pins the on-demand reconstruction
+// steady state exactly: DecodeInto followed by the pixel accessor that
+// reconstructs the planes, into a reused Decoded and a reused output
+// image, makes no allocations on the sequential paths — baseline colour,
+// a restart-interval stream decoded without sharding, a progressive
+// stream, and luma-only GrayInto.
+func TestDecodeReconstructZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	prog, err := os.ReadFile(filepath.Join("testdata", "progressive", "rgb420-standard.jpg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		stream []byte
+		opts   *DecodeOptions
+		gray   bool
+	}{
+		{name: "rgb420", stream: encodeToBytes(t, allocTestImage(), nil)},
+		{name: "rgb444-dri", stream: encodeToBytes(t, allocTestImage(), &Options{Subsampling: Sub444, RestartInterval: 2}), opts: &DecodeOptions{ShardWorkers: 1}},
+		{name: "progressive", stream: prog},
+		{name: "gray", stream: encodeToBytes(t, allocTestImage(), nil), gray: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var dec Decoded
+			rgb := &imgutil.RGB{}
+			gray := &imgutil.Gray{}
+			r := bytes.NewReader(tc.stream)
+			decode := func() {
+				r.Reset(tc.stream)
+				if err := DecodeInto(r, &dec, tc.opts); err != nil {
+					t.Fatal(err)
+				}
+				if tc.gray {
+					gray = dec.GrayInto(gray)
+				} else {
+					rgb = dec.RGBInto(rgb)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				decode()
+			}
+			if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+				t.Fatalf("steady-state DecodeInto+reconstruct makes %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -317,14 +317,13 @@ type component struct {
 	td, ta int   // huffman table ids (DC, AC)
 
 	w, hgt int     // plane dimensions in samples
-	pix    []uint8 // plane samples (decoder) or source samples (encoder)
+	pix    []uint8 // reconstructed samples (decoder) or source samples (encoder)
 
-	blocksX, blocksY int          // MCU-padded block grid
-	coefs            [][64]int32  // quantized coefficients per block, natural order
-	table            qtable.Table // dequantization table (decoder)
-	// inv is table with the inverse engine's prescale factors folded in,
-	// built once per frame (decoder) so the per-block dequantize loop is a
-	// single multiply per coefficient.
+	blocksX, blocksY int         // MCU-padded block grid
+	coefs            [][64]int32 // quantized coefficients per block, natural order
+	// inv is the dequantization table with the inverse engine's prescale
+	// factors folded in (pixel reconstruction), so the per-block
+	// dequantize loop is a single multiply per coefficient.
 	inv qtable.InvScaled
 
 	// Decoder per-frame scan state. scanned marks components that took

@@ -465,12 +465,15 @@ func BenchmarkDecodeRGB420(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
+	rgb := &imgutil.RGB{}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(img.Pix)))
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(bytes.NewReader(data)); err != nil {
+		dec, err := Decode(bytes.NewReader(data))
+		if err != nil {
 			b.Fatal(err)
 		}
+		rgb = dec.RGBInto(rgb)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/dct"
@@ -12,11 +13,23 @@ import (
 	"repro/internal/qtable"
 )
 
-// Decoded holds the result of decoding a JPEG stream together with the
-// coding metadata the DeepN-JPEG tooling inspects. A Decoded can be
-// reused across decodes through DecodeInto, which recycles its planes,
-// coefficient grids and table map instead of reallocating them — the
-// allocation-free steady state batch transcode loops rely on.
+// Decoded holds a decoded JPEG stream: the quantized DCT coefficients of
+// every component together with the coding metadata the DeepN-JPEG
+// tooling inspects. Pixels are reconstructed from the coefficients on
+// demand. DecodeInto runs every fallible step — parsing, entropy decoding,
+// binding the quantization tables — and stops at the coefficients, so
+// coefficient-domain consumers such as Requantize never run the IDCT or
+// touch pixel memory. The first GrayInto or RGBInto (or Gray/RGB) after a
+// decode reconstructs the planes it needs with the inverse engine
+// DecodeOptions.Transform selected — GrayInto only the luma plane — and
+// later calls reuse them until the next DecodeInto or Reset.
+//
+// A Decoded can be reused across decodes through DecodeInto, which
+// recycles its planes, coefficient grids and table map instead of
+// reallocating them — the allocation-free steady state batch transcode
+// loops rely on. A Decoded is not safe for concurrent use: the pixel
+// accessors write to it (the lazily reconstructed planes and the chroma
+// upsampling scratch), so give each goroutine its own.
 type Decoded struct {
 	W, H       int
 	Components int // 1 (grayscale) or 3 (YCbCr)
@@ -31,14 +44,28 @@ type Decoded struct {
 		w, h   int
 		hs, vs int // sampling factors (1..4)
 		tq     int // quantization table id
-		pix    []uint8
+		// inv is the coded table with the inverse engine's prescale
+		// folded in, bound when the decode finishes so reconstruction
+		// runs one multiply per coefficient and cannot fail.
+		inv qtable.InvScaled
+		// pix stays empty from DecodeInto until a pixel accessor
+		// reconstructs the plane.
+		pix []uint8
 	}
 	maxH, maxV int            // frame maximum sampling factors
 	coefs      [3][][64]int32 // quantized coefficients in block-row order
 	blocksX    [3]int
 	blocksY    [3]int
 
-	// upCb, upCr hold upsampled chroma scratch reused by RGBInto.
+	// xf is the inverse engine pixels reconstruct with; reconWorkers is
+	// > 1 when the entropy data decoded sharded, and reconstruction then
+	// reuses that fan-out.
+	xf           dct.Transform
+	reconWorkers int
+
+	// scratch is the flat block-row plane of sequential reconstruction;
+	// upCb, upCr hold upsampled chroma reused by RGBInto.
+	scratch    []float64
 	upCb, upCr []uint8
 
 	// QuantTables holds the dequantization tables by table id.
@@ -62,27 +89,67 @@ type Decoded struct {
 	metaBuf  []byte // flat backing store for Metadata payloads
 }
 
-// Reset clears the decoded content while keeping every allocated buffer
-// (planes, coefficient grids, table map, chroma scratch) for reuse by a
-// subsequent DecodeInto.
+// Reset clears the decoded content, including any reconstructed pixels,
+// while keeping every allocated buffer (planes, coefficient grids, table
+// map, reconstruction and chroma scratch) for reuse by a subsequent
+// DecodeInto.
 func (d *Decoded) Reset() {
 	d.W, d.H, d.Components = 0, 0, 0
 	d.Sampling = 0
 	d.RestartInterval = 0
 	d.Progressive = false
 	d.maxH, d.maxV = 0, 0
+	d.xf, d.reconWorkers = 0, 0
 	d.Metadata = d.Metadata[:0]
 	d.metaBuf = d.metaBuf[:0]
 	for i := range d.planes {
-		d.planes[i].w, d.planes[i].h = 0, 0
-		d.planes[i].hs, d.planes[i].vs = 0, 0
-		d.planes[i].tq = 0
-		d.planes[i].pix = d.planes[i].pix[:0]
+		p := &d.planes[i]
+		p.w, p.h = 0, 0
+		p.hs, p.vs = 0, 0
+		p.tq = 0
+		p.pix = p.pix[:0]
 		d.coefs[i] = d.coefs[i][:0]
 		d.blocksX[i], d.blocksY[i] = 0, 0
 	}
 	for k := range d.QuantTables {
 		delete(d.QuantTables, k)
+	}
+}
+
+// reconstruct materializes pixel planes 0..n-1 from the coefficients,
+// skipping planes already reconstructed since the last DecodeInto. It
+// runs the batched inverse stage with the fan-out the entropy decoder
+// used: block-row sharded when the scan decoded sharded, sequential on
+// the calling goroutine (reusing d.scratch) otherwise.
+func (d *Decoded) reconstruct(n int) {
+	var buf [3]component
+	comps := buf[:0]
+	for i := 0; i < n; i++ {
+		p := &d.planes[i]
+		if len(p.pix) != 0 {
+			continue
+		}
+		p.pix = imgutil.GrowBytes(p.pix, p.w*p.h)
+		comps = append(comps, component{
+			w: p.w, hgt: p.h, pix: p.pix, inv: p.inv,
+			blocksX: d.blocksX[i], blocksY: d.blocksY[i], coefs: d.coefs[i],
+		})
+	}
+	if len(comps) == 0 {
+		return
+	}
+	if d.reconWorkers > 1 {
+		// The workers capture the descriptors; cloning them keeps buf on
+		// the stack for the allocation-free sequential path.
+		reconstructSharded(slices.Clone(comps), d.reconWorkers, d.xf)
+		return
+	}
+	for i := range comps {
+		c := &comps[i]
+		d.scratch = growFloats(d.scratch, c.blocksX*64)
+		for by := 0; by < c.blocksY; by++ {
+			reconstructBlockRow(c, by, d.scratch, d.xf)
+		}
 	}
 }
 
@@ -92,8 +159,10 @@ func (d *Decoded) Gray() *imgutil.Gray {
 }
 
 // GrayInto copies the luma plane into dst, reusing dst's buffer when its
-// capacity suffices. A nil dst allocates a fresh image.
+// capacity suffices. A nil dst allocates a fresh image. Only the luma
+// plane is reconstructed: chroma stays in the coefficient domain.
 func (d *Decoded) GrayInto(dst *imgutil.Gray) *imgutil.Gray {
+	d.reconstruct(1)
 	g := dst
 	if g == nil {
 		g = &imgutil.Gray{}
@@ -118,10 +187,12 @@ func (d *Decoded) RGB() *imgutil.RGB {
 }
 
 // RGBInto is RGB writing into dst, reusing dst's pixel buffer when its
-// capacity suffices; chroma upsampling scratch is cached on the Decoded.
+// capacity suffices; reconstructed planes and chroma upsampling scratch
+// are cached on the Decoded.
 // A nil dst allocates a fresh image; the result is returned either way
 // and never aliases the Decoded's internal planes.
 func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
+	d.reconstruct(d.Components)
 	if d.Components == 1 {
 		p := imgutil.Planes{W: d.planes[0].w, H: d.planes[0].h, Y: d.planes[0].pix, Grayscale: true}
 		return p.ToRGBInto(dst)
@@ -147,9 +218,12 @@ func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
 // DecodeOptions configures Decode/DecodeInto.
 type DecodeOptions struct {
 	// Transform selects the inverse block-transform engine used to
-	// reconstruct pixels. The zero value (dct.TransformNaive) keeps the
-	// separable row–column path; dct.TransformAAN switches to the fast
-	// AAN butterfly. Engines agree within one grey level (IDCT rounding).
+	// reconstruct pixels. DecodeInto validates it and folds it into the
+	// dequantization multipliers, but the IDCT itself runs on the first
+	// GrayInto/RGBInto, so coefficient-only consumers never pay for it.
+	// The zero value (dct.TransformNaive) keeps the separable row–column
+	// path; dct.TransformAAN switches to the fast AAN butterfly. Engines
+	// agree within one grey level (IDCT rounding).
 	Transform dct.Transform
 	// MaxPixels rejects frames whose declared width×height exceeds it
 	// (0 = unlimited). The decoder sizes its planes and coefficient grids
@@ -178,7 +252,8 @@ type DecodeOptions struct {
 // planes every scan accumulates into. Baseline frames complete in one
 // (interleaved) scan or one scan per component; progressive frames
 // spread the coefficient data over many DC/AC first/refinement scans.
-// Either way reconstruction runs once, over the finished planes.
+// Either way the finished planes are the decode's product; pixels are
+// reconstructed from them later, on demand.
 type frame struct {
 	w, h         int
 	progressive  bool
@@ -215,7 +290,7 @@ type decoder struct {
 	// is already over. It never crosses a scan or restart boundary.
 	eobRun int32
 	// reconWorkers is > 1 when the scan's entropy data decoded sharded;
-	// finishFrame then reconstructs with the same fan-out.
+	// the destination then reconstructs pixels with the same fan-out.
 	reconWorkers int
 
 	// Sharded-decode scratch, retained across decodes: the raw scan
@@ -224,11 +299,6 @@ type decoder struct {
 	scanBuf   []byte
 	segBounds []int
 	segs      [][]byte
-
-	// plane is the flat block-row scratch for the batched reconstruction
-	// stage, retained across decodes (the parallel path checks extra
-	// planes out of planePool instead).
-	plane []float64
 
 	// metaSpans records APPn/COM segments during the parse as offsets
 	// into dst.metaBuf; finish materializes them into dst.Metadata.
@@ -279,12 +349,14 @@ func Decode(r io.Reader) (*Decoded, error) {
 	return out, nil
 }
 
-// DecodeInto parses a baseline or progressive JFIF/JPEG stream into dst,
-// reusing dst's planes, coefficient grids and table map when their
-// capacity suffices. It is the allocation-free steady-state decode path:
-// a caller that decodes many streams through one (per-worker) Decoded
-// pays for output buffers once. On error dst's contents are unspecified.
-// A nil opts selects the defaults.
+// DecodeInto parses a baseline or progressive JFIF/JPEG stream into dst's
+// coefficient grids, reusing dst's buffers and table map when their
+// capacity suffices. Every error surfaces here; pixels are reconstructed
+// later, by the first GrayInto/RGBInto, into planes dst also reuses. It
+// is the allocation-free steady-state decode path: a caller that decodes
+// many streams through one (per-worker) Decoded pays for output buffers
+// once. On error dst's contents are unspecified. A nil opts selects the
+// defaults.
 func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 	if dst == nil {
 		return errors.New("jpegcodec: DecodeInto needs a non-nil destination")
@@ -320,8 +392,7 @@ func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 // run is the marker loop. Scans hand back the marker that terminated
 // their entropy data (pending), so a multi-scan stream — progressive or
 // non-interleaved baseline — keeps parsing DHT/DQT/DRI/SOS segments
-// between scans until EOI (or a clean end of input) triggers the single
-// reconstruction pass.
+// between scans until EOI (or a clean end of input) finishes the frame.
 func (d *decoder) run() error {
 	m, err := d.readMarkerByte()
 	if err != nil {
@@ -575,8 +646,8 @@ func (d *decoder) parseDRI() error {
 
 // parseSOF reads the frame header and establishes everything every scan
 // shares: component geometry, the interleaved MCU grid, and the
-// full-image pixel and coefficient planes (grown from the destination so
-// repeated DecodeInto calls reuse them). Progressive frames zero their
+// full-image coefficient planes (grown from the destination so repeated
+// DecodeInto calls reuse them). Progressive frames zero their
 // coefficient grids here — scans accumulate bits into them rather than
 // overwriting whole blocks, so pooled leftovers must not shine through.
 func (d *decoder) parseSOF(progressive bool) error {
@@ -666,10 +737,8 @@ func (d *decoder) parseSOF(progressive bool) error {
 		c.hgt = (f.h*c.v + maxV - 1) / maxV
 		c.blocksX = f.mcusX * c.h
 		c.blocksY = f.mcusY * c.v
-		// Output buffers come from the destination so repeated DecodeInto
-		// calls reuse them.
-		c.pix = imgutil.GrowBytes(d.dst.planes[i].pix, c.w*c.hgt)
-		d.dst.planes[i].pix = c.pix
+		// Coefficient grids come from the destination so repeated
+		// DecodeInto calls reuse them.
 		c.coefs = growCoefs(d.dst.coefs[i], c.blocksX*c.blocksY)
 		d.dst.coefs[i] = c.coefs
 		if progressive {
@@ -908,18 +977,6 @@ func (d *decoder) scanBaseline(scomps []*component, interleaved bool) (byte, err
 	return d.scanEnd(), nil
 }
 
-// reconstructSequential runs the batched inverse stage over every
-// component on the calling goroutine, reusing the decoder's retained
-// plane.
-func (d *decoder) reconstructSequential() {
-	for _, c := range d.frame.comps {
-		d.plane = growFloats(d.plane, c.blocksX*64)
-		for by := 0; by < c.blocksY; by++ {
-			reconstructBlockRow(c, by, d.plane, d.xf)
-		}
-	}
-}
-
 // decodeBlockInto entropy-decodes one block into natural-order
 // coefficients, writing straight into the caller's grid slot (which may
 // hold stale pooled data — it is zeroed first). On error the slot's
@@ -965,13 +1022,13 @@ func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coe
 }
 
 // finishFrame runs once per image, after the last scan: it zero-fills
-// the grids of components no scan touched, binds the dequantization
-// tables in effect at the end of the stream, reconstructs pixels with
-// the batched inverse stage — sharded with the entropy decoder's
-// fan-out when the scan decoded sharded — and publishes the result.
+// the grids of components no scan touched and binds the dequantization
+// tables in effect at the end of the stream — the last steps that can
+// fail — then publishes the result. Pixels are not reconstructed here;
+// the destination does that on the first pixel request.
 func (d *decoder) finishFrame() error {
 	f := &d.frame
-	for _, c := range f.comps {
+	for i, c := range f.comps {
 		if !c.primed {
 			// No scan carried this component; it reconstructs as a flat
 			// mid-gray plane rather than pooled leftovers.
@@ -982,16 +1039,10 @@ func (d *decoder) finishFrame() error {
 		if !ok {
 			return fmt.Errorf("jpegcodec: missing quantization table %d", c.tq)
 		}
-		c.table = tbl
 		// Fold the inverse engine's prescale into the dequantize
 		// multipliers once per frame; reconstructBlockRow then runs one
 		// multiply per coefficient with no prescale pass.
-		tbl.InvScaledInto(&c.inv, d.xf)
-	}
-	if d.reconWorkers > 1 {
-		d.reconstructSharded(d.reconWorkers)
-	} else {
-		d.reconstructSequential()
+		tbl.InvScaledInto(&d.dst.planes[i].inv, d.xf)
 	}
 	return d.finish()
 }
@@ -1006,6 +1057,8 @@ func (d *decoder) finish() error {
 	out.RestartInterval = d.ri
 	out.Progressive = f.progressive
 	out.maxH, out.maxV = f.maxH, f.maxV
+	out.xf = d.xf
+	out.reconWorkers = d.reconWorkers
 	if len(f.comps) == 3 {
 		out.Sampling = classifySampling(f.comps)
 	}
@@ -1015,7 +1068,6 @@ func (d *decoder) finish() error {
 		out.planes[i].hs = c.h
 		out.planes[i].vs = c.v
 		out.planes[i].tq = c.tq
-		out.planes[i].pix = c.pix
 		out.coefs[i] = c.coefs
 		out.blocksX[i] = c.blocksX
 		out.blocksY[i] = c.blocksY

@@ -91,7 +91,7 @@ func growFloats(b []float64, n int) []float64 {
 
 // planePool recycles flat block-row planes for the parallel batch
 // reconstruction workers (the sequential paths retain a plane on their
-// scratch/decoder instead).
+// encoder scratch or Decoded instead).
 var planePool = sync.Pool{New: func() any { return new([]float64) }}
 
 // bufwPool recycles the buffered marker/scan writers.

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/imgutil"
 	"repro/internal/qtable"
 )
 
@@ -347,11 +348,12 @@ func TestProgressiveFixturesCheckedIn(t *testing.T) {
 }
 
 // BenchmarkDecodeProgressive measures the multi-scan decode path on a
-// standard-script 4:2:0 stream.
+// standard-script 4:2:0 stream, through to RGB pixels.
 func BenchmarkDecodeProgressive(b *testing.B) {
 	c := progCase{name: "bench", sub: Sub420, w: 256, h: 192, seed: 5, script: stdProgressionScript}
 	fix := c.fixtureStream(b)
 	var dst Decoded
+	rgb := &imgutil.RGB{}
 	b.SetBytes(int64(len(fix)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -359,6 +361,7 @@ func BenchmarkDecodeProgressive(b *testing.B) {
 		if err := DecodeInto(bytes.NewReader(fix), &dst, nil); err != nil {
 			b.Fatal(err)
 		}
+		rgb = dst.RGBInto(rgb)
 	}
 }
 

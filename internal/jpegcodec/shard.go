@@ -19,8 +19,9 @@ package jpegcodec
 //     entropy data, because the coder stuffs a 0x00 after every 0xFF it
 //     emits — then the segments decode concurrently, each on a pooled
 //     segment-bounded bitio.Reader with a fresh DC predictor. Block
-//     outputs land in disjoint regions of the coefficient grids and
-//     pixel planes, so workers share them without synchronization.
+//     outputs land in disjoint regions of the coefficient grids, so
+//     workers share them without synchronization; the pixel
+//     reconstruction that later reads those grids reuses the fan-out.
 //
 // Acceptance behavior is kept identical to the sequential paths: the
 // byte scan validates the RSTn sequence exactly like the sequential
@@ -53,6 +54,7 @@ import (
 	"io"
 
 	"repro/internal/bitio"
+	"repro/internal/dct"
 	"repro/internal/pipeline"
 )
 
@@ -264,8 +266,9 @@ scan:
 // segment-bounded reader, and every non-final segment must consume its
 // bytes exactly (leftovers are what the sequential reader would reject
 // at the next marker; data after the final MCU is ignored on both
-// paths). Reconstruction is deferred to finishFrame like every other
-// scan shape; reconWorkers records the fan-out it should reuse.
+// paths). Pixel reconstruction is deferred to the destination's first
+// pixel request like every other scan shape; reconWorkers records the
+// fan-out it reuses.
 func (d *decoder) scanSharded(scomps []*component, workers int) (byte, error) {
 	f := &d.frame
 	for _, c := range scomps {
@@ -324,18 +327,17 @@ func (d *decoder) scanSharded(scomps []*component, workers int) (byte, error) {
 	return next, nil
 }
 
-// reconstructSharded runs the batched inverse stage with block-row
-// parallelism: rows are disjoint pixel regions over read-only
+// reconstructSharded runs the batched inverse stage over comps with
+// block-row parallelism: rows are disjoint pixel regions over read-only
 // coefficients, so workers share the planes without synchronization.
 // Each worker checks a flat scratch plane out of planePool (the
-// sequential path reuses the decoder's retained plane instead).
-func (d *decoder) reconstructSharded(workers int) {
-	comps := d.frame.comps
+// sequential path reuses the Decoded's retained scratch instead).
+func reconstructSharded(comps []component, workers int, xf dct.Transform) {
 	rows := 0
 	var rowStart [3]int
-	for i, c := range comps {
+	for i := range comps {
 		rowStart[i] = rows
-		rows += c.blocksY
+		rows += comps[i].blocksY
 	}
 	planes := make([]*[]float64, pipeline.Workers(workers, rows))
 	for i := range planes {
@@ -352,10 +354,10 @@ func (d *decoder) reconstructSharded(workers int) {
 		for ci > 0 && i < rowStart[ci] {
 			ci--
 		}
-		c := comps[ci]
+		c := &comps[ci]
 		p := growFloats(*planes[w], c.blocksX*64)
 		*planes[w] = p
-		reconstructBlockRow(c, i-rowStart[ci], p, d.xf)
+		reconstructBlockRow(c, i-rowStart[ci], p, xf)
 		return nil
 	})
 }

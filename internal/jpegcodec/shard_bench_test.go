@@ -18,6 +18,8 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"repro/internal/imgutil"
 )
 
 const (
@@ -102,6 +104,7 @@ func BenchmarkDecodeSharded(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			opts := &DecodeOptions{ShardWorkers: mode.workers}
 			var dec Decoded
+			rgb := &imgutil.RGB{}
 			r := bytes.NewReader(data)
 			b.ReportAllocs()
 			b.SetBytes(int64(3 * benchShardDim * benchShardDim))
@@ -110,6 +113,7 @@ func BenchmarkDecodeSharded(b *testing.B) {
 				if err := DecodeInto(r, &dec, opts); err != nil {
 					b.Fatal(err)
 				}
+				rgb = dec.RGBInto(rgb)
 			}
 		})
 	}

@@ -239,7 +239,11 @@ func TestDecodedReset(t *testing.T) {
 	if err := DecodeInto(bytes.NewReader(stream), &dec, nil); err != nil {
 		t.Fatal(err)
 	}
+	dec.GrayInto(nil) // pixels are reconstructed on demand
 	pixCap := cap(dec.planes[0].pix)
+	if pixCap == 0 {
+		t.Fatal("GrayInto did not reconstruct the luma plane")
+	}
 	dec.Reset()
 	if dec.W != 0 || dec.H != 0 || dec.Components != 0 || len(dec.QuantTables) != 0 {
 		t.Fatalf("Reset left metadata behind: %+v", dec)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full pre-merge gate: gofmt, vet, build, the complete test suite under
-# the race detector, and a short native-fuzz smoke of the decoder and
-# requantizer. Equivalent to `make check` for environments without make.
+# the race detector, the benchmark module's vet and tests, and a short
+# native-fuzz smoke of the decoder and requantizer. Equivalent to
+# `make check` for environments without make.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -17,6 +18,8 @@ go build ./...
 GOARCH=386 go build ./...
 GOARCH=386 go vet ./...
 go test -race ./...
+# perfbench/ is its own module, so the root ./... never compiles it.
+(cd perfbench && go vet ./... && go test ./...)
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s ./internal/jpegcodec
 go test -run '^$' -fuzz '^FuzzDecodeSharded$' -fuzztime 5s ./internal/jpegcodec
 go test -run '^$' -fuzz '^FuzzRequantize$' -fuzztime 5s ./internal/jpegcodec
