@@ -103,7 +103,7 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -run XXX -bench 'Transform|ForwardAAN|InverseAAN|Batch|PerBlockLoop' -benchmem ./internal/dct
-	$(GO) test -run XXX -bench 'Transform|DecodePooled|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
+	$(GO) test -run XXX -bench 'Default|DecodeEncodeLoop|DecodePooled|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
 	$(GO) test -run XXX -bench 'EncodeBatch|DecodeBatch|CalibrateParallel|DeepNEncodeThroughput' -benchmem ./
 	$(GO) test -run XXX -bench 'Index|BlobVerify|PullCacheHit' -benchmem ./internal/profilehub
 
@@ -116,7 +116,7 @@ NEW ?= bench-new.txt
 OLD ?= bench-old.txt
 BENCHCOUNT ?= 10
 bench-txt:
-	$(GO) test -run XXX -bench 'Transform|Batch|PerBlockLoop' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
+	$(GO) test -run XXX -bench 'Transform|Batch|PerBlockLoop|Default|DecodeEncodeLoop' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
 	@echo "wrote $(NEW)"
 
 # bench-compare diffs two bench-txt snapshots with benchstat

@@ -36,24 +36,18 @@
 // frequency-statistics pass across workers via CalibrateConfig.Workers,
 // with results independent of goroutine scheduling.
 //
-// # Block-transform engines
+// # Block transform
 //
-// The 8×8 DCT at the heart of every encode and decode is pluggable.
-// CalibrateConfig.Transform and DecodeOptions.Transform select between
-// the naive separable transform (the default) and the Arai–Agui–Nakajima
-// fast transform (TransformAAN), which roughly halves block-transform
-// cost. The AAN scale factors are folded into the quantization tables
-// (libjpeg's scaled-table trick): the codec runs only the raw
+// Every encode and decode runs the 8×8 DCT as the Arai–Agui–Nakajima
+// fast transform, with its scale factors folded into the quantization
+// tables (libjpeg's scaled-table trick): the codec runs only the raw
 // butterflies per block and quantizes through fused divisors built once
 // per calibrated codec, so the hot loop is a single multiply or divide
-// per coefficient with no descale pass. The engines produce
-// byte-identical encoded streams — their floating-point differences,
-// including the folding itself, are absorbed by the tie-snapping
-// quantizer — so the fast path is safe to enable wherever throughput
-// matters:
-//
-//	codec, err := deepnjpeg.Calibrate(imgs, labels,
-//	    deepnjpeg.CalibrateConfig{Transform: deepnjpeg.TransformAAN})
+// per coefficient with no descale pass. Encoded streams are
+// byte-identical to those of the textbook separable DCT — the
+// floating-point differences, folding included, are absorbed by the
+// tie-snapping quantizer — and decoded Y/Cb/Cr planes agree with it
+// within one level (IDCT rounding). There is no engine to choose.
 //
 // Decode-side buffers are reusable too: DecodeInto fills a caller-owned
 // image and DecodeBatchInto a caller-owned slice of them, making the
@@ -130,7 +124,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dct"
 	"repro/internal/imgutil"
 	"repro/internal/jpegcodec"
 	"repro/internal/pipeline"
@@ -148,22 +141,6 @@ type Gray = imgutil.Gray
 
 // QuantTable is a 64-entry JPEG quantization table in row-major order.
 type QuantTable = qtable.Table
-
-// Transform selects the 8×8 block-transform engine the codec runs. Both
-// engines compute the same orthonormal DCT; they differ in operation
-// count, and their floating-point differences are absorbed by
-// quantization, so encoded streams are byte-identical across engines
-// (see the transform equivalence tests).
-type Transform = dct.Transform
-
-const (
-	// TransformNaive is the separable row–column DCT, the compatibility
-	// default.
-	TransformNaive = dct.TransformNaive
-	// TransformAAN is the Arai–Agui–Nakajima fast DCT, roughly halving
-	// block-transform cost on both the encode and decode path.
-	TransformAAN = dct.TransformAAN
-)
 
 // Subsampling selects the chroma layout of color encodes. The decoder
 // side accepts any legal baseline factor combination regardless of this
@@ -213,11 +190,6 @@ type CalibrateConfig struct {
 	// up to floating-point rounding, which the test suite checks yields
 	// identical quantization tables.
 	Workers int
-	// Transform selects the block-transform engine the calibrated codec
-	// encodes with; TransformAAN is the fast path. Calibration statistics
-	// themselves always use the naive engine, so the derived tables are
-	// bit-identical across engine choices.
-	Transform Transform
 }
 
 // Codec is a calibrated DeepN-JPEG encoder/decoder.
@@ -242,7 +214,6 @@ func Calibrate(images []*Image, labels []int, cfg CalibrateConfig) (*Codec, erro
 		Chroma:         cfg.Chroma,
 		UsePaperParams: cfg.UsePaperParams,
 		Workers:        cfg.Workers,
-		Transform:      cfg.Transform,
 	})
 	if err != nil {
 		return nil, err
@@ -358,11 +329,6 @@ func (c *Codec) EncodeGrayBatch(ctx context.Context, imgs []*Gray, opts BatchOpt
 
 // DecodeOptions configures the decode-side APIs.
 type DecodeOptions struct {
-	// Transform selects the inverse block-transform engine used for
-	// pixel reconstruction, which runs after the stream has decoded to
-	// coefficients; TransformAAN is the fast path. Engines agree within
-	// one grey level (they differ only in IDCT rounding).
-	Transform Transform
 	// MaxPixels rejects streams whose declared width×height exceeds it
 	// (0 = unlimited). Set it when decoding untrusted bytes: the decoder
 	// sizes its working set from the header, so a tiny hostile stream can
@@ -400,7 +366,7 @@ func DecodeBatchInto(ctx context.Context, streams [][]byte, dst []*Image, opts B
 	} else if len(dst) != len(streams) {
 		return nil, fmt.Errorf("deepnjpeg: %d reuse buffers for %d streams", len(dst), len(streams))
 	}
-	jopts := jpegcodec.DecodeOptions{Transform: dopts.Transform, MaxPixels: dopts.MaxPixels, ShardWorkers: dopts.ShardWorkers}
+	jopts := jpegcodec.DecodeOptions{MaxPixels: dopts.MaxPixels, ShardWorkers: dopts.ShardWorkers}
 	// One Decoded and one reader per pool worker, checked out for the
 	// whole batch: items share their worker's parse state and planes
 	// instead of cycling them through the pool per stream.
@@ -445,7 +411,7 @@ func Decode(data []byte) (*Image, error) {
 func DecodeInto(dst *Image, data []byte, opts DecodeOptions) (*Image, error) {
 	dec := decodedPool.Get().(*jpegcodec.Decoded)
 	defer decodedPool.Put(dec)
-	jopts := jpegcodec.DecodeOptions{Transform: opts.Transform, MaxPixels: opts.MaxPixels, ShardWorkers: opts.ShardWorkers}
+	jopts := jpegcodec.DecodeOptions{MaxPixels: opts.MaxPixels, ShardWorkers: opts.ShardWorkers}
 	if err := jpegcodec.DecodeInto(bytes.NewReader(data), dec, &jopts); err != nil {
 		return nil, err
 	}
@@ -781,7 +747,6 @@ func NewServer(c *Codec, opts ServerOptions) (*Server, error) {
 type ServingProfile struct {
 	Name         string
 	Version      uint32
-	Transform    Transform
 	SampledCount int
 }
 
@@ -789,8 +754,8 @@ type ServingProfile struct {
 // against right now; after a hot reload it reflects the freshly
 // resolved profile.
 func (s *Server) ServingProfile() ServingProfile {
-	name, version, transform, sampled := s.s.ServingProfile()
-	return ServingProfile{Name: name, Version: version, Transform: transform, SampledCount: sampled}
+	name, version, sampled := s.s.ServingProfile()
+	return ServingProfile{Name: name, Version: version, SampledCount: sampled}
 }
 
 // Handler returns the route table for mounting under an external

@@ -52,11 +52,6 @@ type CalibrateOptions struct {
 	// accumulators merge in worker order, so a given worker count always
 	// produces the same result regardless of goroutine scheduling.
 	Workers int
-	// Transform selects the block-transform engine the calibrated scheme
-	// encodes with (dct.TransformNaive by default, dct.TransformAAN for
-	// the fast path). Calibration statistics always use the naive engine
-	// so tables stay bit-identical across engine choices.
-	Transform dct.Transform
 }
 
 // Framework is a calibrated DeepN-JPEG instance.
@@ -67,11 +62,10 @@ type Framework struct {
 	ChromaStats  *freqstat.Stats // nil unless calibrated
 	LumaTable    qtable.Table
 	ChromaTable  qtable.Table
-	SampledCount int           // images used for calibration
-	Transform    dct.Transform // block-transform engine for Scheme()
+	SampledCount int // images used for calibration
 
 	// scaled caches the transform-folded forward quantization divisors of
-	// LumaTable/ChromaTable under Transform, built once by Calibrate or
+	// LumaTable/ChromaTable, built once by Calibrate or
 	// Restore and attached to every Scheme the framework hands out — the
 	// encoder then never derives them per image (let alone per block).
 	// The cache carries the inputs it was built from and the encoder
@@ -86,9 +80,6 @@ func Calibrate(ds *dataset.Dataset, opts CalibrateOptions) (*Framework, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	if !opts.Transform.Valid() {
-		return nil, fmt.Errorf("core: unknown transform engine %d", opts.Transform)
-	}
 	if opts.Anchors == (plm.Anchors{}) {
 		opts.Anchors = plm.PaperAnchors()
 	}
@@ -102,7 +93,7 @@ func Calibrate(ds *dataset.Dataset, opts CalibrateOptions) (*Framework, error) {
 		return nil, fmt.Errorf("core: luma statistics: %w", err)
 	}
 
-	f := &Framework{Stats: stats, SampledCount: len(idx), Transform: opts.Transform}
+	f := &Framework{Stats: stats, SampledCount: len(idx)}
 	if opts.PositionBased {
 		f.Seg = freqstat.SegmentByPosition()
 		// Positional segmentation has no natural δ thresholds; take them
@@ -140,7 +131,7 @@ func Calibrate(ds *dataset.Dataset, opts CalibrateOptions) (*Framework, error) {
 	} else {
 		f.ChromaTable = qtable.MustScale(qtable.StdChrominance, 95)
 	}
-	f.scaled = jpegcodec.PrecomputeScaled(f.LumaTable, f.ChromaTable, f.Transform)
+	f.scaled = jpegcodec.PrecomputeScaled(f.LumaTable, f.ChromaTable)
 	return f, nil
 }
 
@@ -149,15 +140,12 @@ func Calibrate(ds *dataset.Dataset, opts CalibrateOptions) (*Framework, error) {
 // without rerunning the design flow. The segmentation is recomputed from
 // the statistics by δ magnitude (the paper's proposal and the only
 // segmentation persisted profiles are written from); everything the
-// encode, decode and requantize paths consume (tables, transform,
-// statistics) is taken verbatim, so a restored Framework encodes
-// byte-identically to the one it was saved from.
-func Restore(params plm.Params, stats, chromaStats *freqstat.Stats, luma, chroma qtable.Table, sampled int, transform dct.Transform) (*Framework, error) {
+// encode, decode and requantize paths consume (tables, statistics) is
+// taken verbatim, so a restored Framework encodes byte-identically to the
+// one it was saved from.
+func Restore(params plm.Params, stats, chromaStats *freqstat.Stats, luma, chroma qtable.Table, sampled int) (*Framework, error) {
 	if stats == nil {
 		return nil, fmt.Errorf("core: Restore needs luma statistics")
-	}
-	if !transform.Valid() {
-		return nil, fmt.Errorf("core: unknown transform engine %d", transform)
 	}
 	if err := luma.Validate(); err != nil {
 		return nil, fmt.Errorf("core: restored luma table: %w", err)
@@ -173,8 +161,7 @@ func Restore(params plm.Params, stats, chromaStats *freqstat.Stats, luma, chroma
 		LumaTable:    luma,
 		ChromaTable:  chroma,
 		SampledCount: sampled,
-		Transform:    transform,
-		scaled:       jpegcodec.PrecomputeScaled(luma, chroma, transform),
+		scaled:       jpegcodec.PrecomputeScaled(luma, chroma),
 	}, nil
 }
 
@@ -272,7 +259,6 @@ func (f *Framework) Scheme() Scheme {
 	return Scheme{Name: "deepn-jpeg", Opts: jpegcodec.Options{
 		LumaTable:   f.LumaTable,
 		ChromaTable: f.ChromaTable,
-		Transform:   f.Transform,
 		Scaled:      f.scaled,
 	}}
 }

@@ -322,23 +322,3 @@ func (t Transform) InverseScaledBatch(p []float64) {
 	}
 	InverseBatch(p)
 }
-
-// ForwardBatchOf runs the orthonormal forward transform of the selected
-// engine over every block of p — the batch form of Transform.Forward.
-func (t Transform) ForwardBatchOf(p []float64) {
-	if t == TransformAAN {
-		ForwardAANBatch(p)
-		return
-	}
-	ForwardBatch(p)
-}
-
-// InverseBatchOf runs the orthonormal inverse transform of the selected
-// engine over every block of p — the batch form of Transform.Inverse.
-func (t Transform) InverseBatchOf(p []float64) {
-	if t == TransformAAN {
-		InverseAANBatch(p)
-		return
-	}
-	InverseBatch(p)
-}

@@ -129,15 +129,21 @@ func TestScaledBatchBitIdentity(t *testing.T) {
 // batch API and checks the plane reproduces its input.
 func TestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for _, xf := range []Transform{TransformNaive, TransformAAN} {
+	for _, eng := range []struct {
+		name             string
+		forward, inverse func([]float64)
+	}{
+		{"naive", ForwardBatch, InverseBatch},
+		{"aan", ForwardAANBatch, InverseAANBatch},
+	} {
 		plane := randPlane(rng, 9)
 		orig := make([]float64, len(plane))
 		copy(orig, plane)
-		xf.ForwardBatchOf(plane)
-		xf.InverseBatchOf(plane)
+		eng.forward(plane)
+		eng.inverse(plane)
 		for i := range plane {
 			if math.Abs(plane[i]-orig[i]) > 1e-9 {
-				t.Fatalf("%v: element %d round-trips to %v, want %v", xf, i, plane[i], orig[i])
+				t.Fatalf("%s: element %d round-trips to %v, want %v", eng.name, i, plane[i], orig[i])
 			}
 		}
 	}
@@ -150,8 +156,8 @@ func TestBatchCrossEngineAgreement(t *testing.T) {
 	a := randPlane(rng, 12)
 	b := make([]float64, len(a))
 	copy(b, a)
-	TransformNaive.ForwardBatchOf(a)
-	TransformAAN.ForwardBatchOf(b)
+	ForwardBatch(a)
+	ForwardAANBatch(b)
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-9 {
 			t.Fatalf("element %d: naive %v vs aan %v", i, a[i], b[i])

@@ -7,10 +7,12 @@
 // with C(0)=1/√2 and C(k)=1 otherwise. Three implementations are provided:
 // a direct O(N⁴) reference used as a test oracle, a separable row–column
 // transform (Forward/Inverse), and the Arai–Agui–Nakajima fast transform
-// (ForwardAAN/InverseAAN). The codec selects between the latter two
-// through the Transform engine enum (TransformNaive, TransformAAN); all
-// engines compute the same orthonormal transform and differ only in
-// floating-point rounding at the ~1e-12 level.
+// (ForwardAAN/InverseAAN). The codec runs AAN; the separable transform is
+// its reference. The Transform enum (TransformAAN, the zero value, and
+// TransformNaive) names one of the two wherever a caller must say which
+// — the reference tests, stage replays, qtable's folded tables. All
+// implementations compute the same orthonormal transform and differ
+// only in floating-point rounding at the ~1e-12 level.
 //
 // The AAN transform is natively *scaled*: its butterflies produce the
 // orthonormal result times a fixed per-band factor. Codecs that

@@ -2,32 +2,29 @@ package dct
 
 import "fmt"
 
-// Transform selects a forward/inverse block-transform engine. The codec
-// threads a Transform through every 8×8 tile it processes, so one enum
-// value switches the whole encode, decode, and requantize pipeline
-// between implementations.
+// Transform names a forward/inverse block-transform engine. The codec
+// runs TransformAAN, the zero value, on every production path; the naive
+// separable transform stays as the reference the AAN kernels are tested
+// against. Tools that replay the codec's stages (and qtable's folded
+// tables) take a Transform so they time and fold for the same engine the
+// codec runs.
 //
-// All engines compute the same orthonormal 2-D DCT; they differ only in
+// Both engines compute the same orthonormal 2-D DCT; they differ only in
 // operation count and floating-point rounding (bounded by ~1e-12 per
-// coefficient, which the codec's quantizer absorbs — see the equivalence
-// tests in internal/jpegcodec).
+// coefficient, which the codec's quantizer absorbs — see the golden
+// stream digests and the block-level equivalence tests in
+// internal/jpegcodec).
 type Transform int
 
 const (
-	// TransformNaive is the separable row–column transform
-	// (Forward/Inverse), the compatibility default: the zero value keeps
-	// every existing call site bit-compatible with the pre-engine codec.
-	TransformNaive Transform = iota
 	// TransformAAN is the Arai–Agui–Nakajima fast transform
 	// (ForwardAAN/InverseAAN): 5 multiplications per 1-D pass instead of
-	// 64, roughly halving block-transform cost.
-	TransformAAN
+	// 64, roughly halving block-transform cost. It is the zero value.
+	TransformAAN Transform = iota
+	// TransformNaive is the separable row–column transform
+	// (Forward/Inverse), the reference implementation.
+	TransformNaive
 )
-
-// Valid reports whether t names a known engine.
-func (t Transform) Valid() bool {
-	return t == TransformNaive || t == TransformAAN
-}
 
 func (t Transform) String() string {
 	switch t {
@@ -40,21 +37,9 @@ func (t Transform) String() string {
 	}
 }
 
-// ParseTransform maps the CLI/config spellings to an engine.
-func ParseTransform(s string) (Transform, error) {
-	switch s {
-	case "naive", "":
-		return TransformNaive, nil
-	case "aan", "fast":
-		return TransformAAN, nil
-	default:
-		return TransformNaive, fmt.Errorf("dct: unknown transform %q (want naive or aan)", s)
-	}
-}
-
 // Forward replaces b (spatial samples) with its 2-D DCT coefficients
 // using the selected engine. Unknown engines fall back to the naive
-// path; callers that surface the choice validate with Valid first.
+// path.
 func (t Transform) Forward(b *Block) {
 	if t == TransformAAN {
 		ForwardAAN(b)

@@ -69,13 +69,7 @@ func TestTransformEnginesAgree(t *testing.T) {
 	}
 }
 
-func TestTransformValidString(t *testing.T) {
-	if !TransformNaive.Valid() || !TransformAAN.Valid() {
-		t.Fatal("known engines must be valid")
-	}
-	if Transform(42).Valid() {
-		t.Fatal("unknown engine must be invalid")
-	}
+func TestTransformString(t *testing.T) {
 	if got := TransformNaive.String(); got != "naive" {
 		t.Fatalf("TransformNaive.String() = %q", got)
 	}
@@ -85,28 +79,9 @@ func TestTransformValidString(t *testing.T) {
 	if got := Transform(42).String(); got != "transform(42)" {
 		t.Fatalf("Transform(42).String() = %q", got)
 	}
-}
-
-func TestParseTransform(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Transform
-		err  bool
-	}{
-		{"naive", TransformNaive, false},
-		{"", TransformNaive, false},
-		{"aan", TransformAAN, false},
-		{"fast", TransformAAN, false},
-		{"simd", TransformNaive, true},
-	}
-	for _, tc := range cases {
-		got, err := ParseTransform(tc.in)
-		if (err != nil) != tc.err {
-			t.Fatalf("ParseTransform(%q) error = %v, want err=%v", tc.in, err, tc.err)
-		}
-		if got != tc.want {
-			t.Fatalf("ParseTransform(%q) = %v, want %v", tc.in, got, tc.want)
-		}
+	var zero Transform
+	if zero != TransformAAN {
+		t.Fatalf("zero Transform = %v, want aan (the engine the codec runs)", zero)
 	}
 }
 

@@ -4,11 +4,11 @@ package jpegcodec
 // level shift, transform, quantize on encode; dequantize, inverse
 // transform, level unshift + store on decode) restructured over whole
 // block rows in a contiguous flat plane (dct batch layout: block k at
-// plane[64k:64k+64]). The arithmetic is the per-block arithmetic —
-// blockCoefficients and reconstructBlock in codec.go remain as the
-// reference implementations, and the batch_equiv_test.go property suite
-// pins every helper here against them bit for bit — but the loops are
-// flat and fused:
+// plane[64k:64k+64]), with the AAN raw kernels as the one transform.
+// The arithmetic is the per-block arithmetic — the test-only reference
+// pipeline (blockCoefficients, reconstructBlock in reference_test.go)
+// is what the batch_equiv_test.go property suite pins every helper here
+// against, bit for bit — but the loops are flat and fused:
 //
 //   - the gather clamps edge coordinates only for the partial blocks at
 //     the right/bottom margins; interior blocks take an unconditional
@@ -72,8 +72,8 @@ func gatherBlockRow(plane []float64, pix []uint8, w, h, by, blocksX int) {
 }
 
 // quantizeRunInto quantizes len(dst) consecutive blocks from plane
-// through the fused divisors, the batch form of blockCoefficients'
-// quantize loop. plane is consumed (overwritten by the division pass).
+// through the fused divisors, the batch form of the reference quantize
+// loop. plane is consumed (overwritten by the division pass).
 // Two passes instead of one chain per coefficient: the divisions are
 // independent and saturate the divider, and the rounding pass replaces
 // the per-coefficient sign branches with abs/floor/copysign — same
@@ -171,25 +171,26 @@ func storeBlockRow(pix []uint8, w, h, by, blocksX int, plane []float64) {
 
 // transformComponent runs the whole forward stage for one encoder
 // component: per block row, gather the level-shifted tiles into plane,
-// one batch forward transform in the engine's scaled basis, one fused
-// quantize pass into the coefficient grid.
-func transformComponent(c *component, tbl *qtable.FwdScaled, mask *qtable.ZeroMask, xf dct.Transform, plane []float64) {
+// one raw AAN batch forward transform, one fused quantize pass into the
+// coefficient grid. tbl must carry the AAN descale factors
+// (FwdScaledInto with dct.TransformAAN).
+func transformComponent(c *component, tbl *qtable.FwdScaled, mask *qtable.ZeroMask, plane []float64) {
 	run := c.blocksX * 64
 	for by := 0; by < c.blocksY; by++ {
 		gatherBlockRow(plane[:run], c.pix, c.w, c.hgt, by, c.blocksX)
-		xf.ForwardScaledBatch(plane[:run])
+		dct.ForwardAANRawBatch(plane[:run])
 		quantizeRunInto(c.coefs[by*c.blocksX:(by+1)*c.blocksX], plane[:run], tbl, mask)
 	}
 }
 
 // reconstructBlockRow runs the inverse stage for one block row of a
-// decoder component: broadcast the fused dequantize multipliers over
-// the row's coefficients, one batch inverse transform, one fused
-// unshift+store pass.
-func reconstructBlockRow(c *component, by int, plane []float64, xf dct.Transform) {
+// decoder component: broadcast the fused dequantize multipliers (AAN
+// prescale folded in) over the row's coefficients, one raw AAN batch
+// inverse transform, one fused unshift+store pass.
+func reconstructBlockRow(c *component, by int, plane []float64) {
 	row := c.coefs[by*c.blocksX : (by+1)*c.blocksX]
 	run := len(row) * 64
 	c.inv.DequantizeBlocks(plane[:run], row)
-	xf.InverseScaledBatch(plane[:run])
+	dct.InverseAANRawBatch(plane[:run])
 	storeBlockRow(c.pix, c.w, c.hgt, by, c.blocksX, plane[:run])
 }

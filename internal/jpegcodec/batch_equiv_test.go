@@ -142,32 +142,30 @@ func TestStoreBlockRowMatchesStoreBlock(t *testing.T) {
 }
 
 // TestTransformComponentMatchesPerBlock pins the whole batched forward
-// stage — gather, batch transform, fused quantize — against the
-// per-block reference pipeline, across engines, masks and edge shapes.
+// stage — gather, batch AAN transform, fused quantize — against the
+// per-block reference pipeline, across masks and edge shapes.
 func TestTransformComponentMatchesPerBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	var mask qtable.ZeroMask
 	for i := 20; i < 64; i++ {
 		mask[i] = true
 	}
-	for _, xf := range bothEngines {
-		var tbl qtable.FwdScaled
-		qtable.StdLuminance.FwdScaledInto(&tbl, xf)
-		for _, m := range []*qtable.ZeroMask{nil, &mask} {
-			for _, dim := range edgeDims {
-				c := &component{w: dim.w, hgt: dim.h, pix: randPixPlane(rng, dim.w, dim.h)}
-				c.blocksX, c.blocksY = paddedGrid(dim.w, dim.h)
-				c.coefs = make([][64]int32, c.blocksX*c.blocksY)
-				transformComponent(c, &tbl, m, xf, make([]float64, c.blocksX*64))
-				for by := 0; by < c.blocksY; by++ {
-					for bx := 0; bx < c.blocksX; bx++ {
-						var tile [64]uint8
-						imgutil.ExtractBlock(c.pix, c.w, c.hgt, bx, by, &tile)
-						want := blockCoefficients(&tile, &tbl, m, xf)
-						if c.coefs[by*c.blocksX+bx] != want {
-							t.Fatalf("%v mask=%v %dx%d block (%d,%d): batch stage %v vs per-block %v",
-								xf, m != nil, dim.w, dim.h, bx, by, c.coefs[by*c.blocksX+bx], want)
-						}
+	var tbl qtable.FwdScaled
+	qtable.StdLuminance.FwdScaledInto(&tbl, dct.TransformAAN)
+	for _, m := range []*qtable.ZeroMask{nil, &mask} {
+		for _, dim := range edgeDims {
+			c := &component{w: dim.w, hgt: dim.h, pix: randPixPlane(rng, dim.w, dim.h)}
+			c.blocksX, c.blocksY = paddedGrid(dim.w, dim.h)
+			c.coefs = make([][64]int32, c.blocksX*c.blocksY)
+			transformComponent(c, &tbl, m, make([]float64, c.blocksX*64))
+			for by := 0; by < c.blocksY; by++ {
+				for bx := 0; bx < c.blocksX; bx++ {
+					var tile [64]uint8
+					imgutil.ExtractBlock(c.pix, c.w, c.hgt, bx, by, &tile)
+					want := blockCoefficients(&tile, &tbl, m, dct.TransformAAN)
+					if c.coefs[by*c.blocksX+bx] != want {
+						t.Fatalf("mask=%v %dx%d block (%d,%d): batch stage %v vs per-block %v",
+							m != nil, dim.w, dim.h, bx, by, c.coefs[by*c.blocksX+bx], want)
 					}
 				}
 			}
@@ -176,71 +174,67 @@ func TestTransformComponentMatchesPerBlock(t *testing.T) {
 }
 
 // TestReconstructRowMatchesPerBlock pins the batched inverse stage —
-// dequantize broadcast, batch inverse transform, fused store — against
-// reconstructBlock+StoreBlock.
+// dequantize broadcast, batch AAN inverse transform, fused store —
+// against reconstructBlock+StoreBlock.
 func TestReconstructRowMatchesPerBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	for _, xf := range bothEngines {
-		var inv qtable.InvScaled
-		qtable.StdChrominance.InvScaledInto(&inv, xf)
-		for _, dim := range edgeDims {
-			blocksX, blocksY := paddedGrid(dim.w, dim.h)
-			c := &component{w: dim.w, hgt: dim.h, inv: inv, blocksX: blocksX, blocksY: blocksY}
-			c.coefs = make([][64]int32, blocksX*blocksY)
-			for bi := range c.coefs {
-				for i := 0; i < 64; i++ {
-					if rng.Intn(3) == 0 {
-						c.coefs[bi][i] = int32(rng.Intn(255) - 127)
-					}
+	var inv qtable.InvScaled
+	qtable.StdChrominance.InvScaledInto(&inv, dct.TransformAAN)
+	for _, dim := range edgeDims {
+		blocksX, blocksY := paddedGrid(dim.w, dim.h)
+		c := &component{w: dim.w, hgt: dim.h, inv: inv, blocksX: blocksX, blocksY: blocksY}
+		c.coefs = make([][64]int32, blocksX*blocksY)
+		for bi := range c.coefs {
+			for i := 0; i < 64; i++ {
+				if rng.Intn(3) == 0 {
+					c.coefs[bi][i] = int32(rng.Intn(255) - 127)
 				}
 			}
-			c.pix = randPixPlane(rng, dim.w, dim.h)
-			want := make([]uint8, len(c.pix))
-			copy(want, c.pix)
-			plane := make([]float64, blocksX*64)
-			for by := 0; by < blocksY; by++ {
-				reconstructBlockRow(c, by, plane, xf)
-				for bx := 0; bx < blocksX; bx++ {
-					var tile [64]uint8
-					reconstructBlock(&c.coefs[by*blocksX+bx], &c.inv, &tile, xf)
-					imgutil.StoreBlock(want, dim.w, dim.h, bx, by, &tile)
-				}
+		}
+		c.pix = randPixPlane(rng, dim.w, dim.h)
+		want := make([]uint8, len(c.pix))
+		copy(want, c.pix)
+		plane := make([]float64, blocksX*64)
+		for by := 0; by < blocksY; by++ {
+			reconstructBlockRow(c, by, plane)
+			for bx := 0; bx < blocksX; bx++ {
+				var tile [64]uint8
+				reconstructBlock(&c.coefs[by*blocksX+bx], &c.inv, &tile, dct.TransformAAN)
+				imgutil.StoreBlock(want, dim.w, dim.h, bx, by, &tile)
 			}
-			if !bytes.Equal(c.pix, want) {
-				t.Fatalf("%v %dx%d: batched reconstruction diverges from reconstructBlock+StoreBlock", xf, dim.w, dim.h)
-			}
+		}
+		if !bytes.Equal(c.pix, want) {
+			t.Fatalf("%dx%d: batched reconstruction diverges from reconstructBlock+StoreBlock", dim.w, dim.h)
 		}
 	}
 }
 
 // TestEdgeDimsStreams drives whole odd-dimension images through both
-// subsampling layouts and both engines: the encode must be deterministic
-// across pooled-scratch reuse, decode back through this codec, and parse
-// with the standard library (partial edge blocks land in real streams).
+// subsampling layouts: the encode must be deterministic across
+// pooled-scratch reuse, decode back through this codec, and parse with
+// the standard library (partial edge blocks land in real streams).
 func TestEdgeDimsStreams(t *testing.T) {
 	for _, dim := range edgeDims {
 		img := testImageRGB(dim.w, dim.h, int64(dim.w*100+dim.h))
 		for _, sub := range []Subsampling{Sub420, Sub444} {
-			for _, xf := range bothEngines {
-				opts := &Options{Subsampling: sub, Transform: xf}
-				first := encodeToBytes(t, img, opts)
-				second := encodeToBytes(t, img, opts)
-				if !bytes.Equal(first, second) {
-					t.Fatalf("%dx%d sub=%d %v: repeated encodes differ (scratch contamination)", dim.w, dim.h, sub, xf)
-				}
-				dec, err := Decode(bytes.NewReader(first))
-				if err != nil {
-					t.Fatalf("%dx%d sub=%d %v: decode: %v", dim.w, dim.h, sub, xf, err)
-				}
-				if dec.W != dim.w || dec.H != dim.h {
-					t.Fatalf("%dx%d sub=%d %v: decoded as %dx%d", dim.w, dim.h, sub, xf, dec.W, dec.H)
-				}
-				if cfg, err := jpeg.DecodeConfig(bytes.NewReader(first)); err != nil || cfg.Width != dim.w || cfg.Height != dim.h {
-					t.Fatalf("%dx%d sub=%d %v: stdlib config %+v err=%v", dim.w, dim.h, sub, xf, cfg, err)
-				}
-				if _, err := jpeg.Decode(bytes.NewReader(first)); err != nil {
-					t.Fatalf("%dx%d sub=%d %v: stdlib decode: %v", dim.w, dim.h, sub, xf, err)
-				}
+			opts := &Options{Subsampling: sub}
+			first := encodeToBytes(t, img, opts)
+			second := encodeToBytes(t, img, opts)
+			if !bytes.Equal(first, second) {
+				t.Fatalf("%dx%d sub=%d: repeated encodes differ (scratch contamination)", dim.w, dim.h, sub)
+			}
+			dec, err := Decode(bytes.NewReader(first))
+			if err != nil {
+				t.Fatalf("%dx%d sub=%d: decode: %v", dim.w, dim.h, sub, err)
+			}
+			if dec.W != dim.w || dec.H != dim.h {
+				t.Fatalf("%dx%d sub=%d: decoded as %dx%d", dim.w, dim.h, sub, dec.W, dec.H)
+			}
+			if cfg, err := jpeg.DecodeConfig(bytes.NewReader(first)); err != nil || cfg.Width != dim.w || cfg.Height != dim.h {
+				t.Fatalf("%dx%d sub=%d: stdlib config %+v err=%v", dim.w, dim.h, sub, cfg, err)
+			}
+			if _, err := jpeg.Decode(bytes.NewReader(first)); err != nil {
+				t.Fatalf("%dx%d sub=%d: stdlib decode: %v", dim.w, dim.h, sub, err)
 			}
 		}
 	}

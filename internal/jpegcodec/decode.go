@@ -20,9 +20,9 @@ import (
 // binding the quantization tables — and stops at the coefficients, so
 // coefficient-domain consumers such as Requantize never run the IDCT or
 // touch pixel memory. The first GrayInto or RGBInto (or Gray/RGB) after a
-// decode reconstructs the planes it needs with the inverse engine
-// DecodeOptions.Transform selected — GrayInto only the luma plane — and
-// later calls reuse them until the next DecodeInto or Reset.
+// decode reconstructs the planes it needs with the AAN inverse transform
+// — GrayInto only the luma plane — and later calls reuse them until the
+// next DecodeInto or Reset.
 //
 // A Decoded can be reused across decodes through DecodeInto, which
 // recycles its planes, coefficient grids and table map instead of
@@ -44,9 +44,9 @@ type Decoded struct {
 		w, h   int
 		hs, vs int // sampling factors (1..4)
 		tq     int // quantization table id
-		// inv is the coded table with the inverse engine's prescale
-		// folded in, bound when the decode finishes so reconstruction
-		// runs one multiply per coefficient and cannot fail.
+		// inv is the coded table with the AAN prescale folded in,
+		// bound when the decode finishes so reconstruction runs one
+		// multiply per coefficient and cannot fail.
 		inv qtable.InvScaled
 		// pix stays empty from DecodeInto until a pixel accessor
 		// reconstructs the plane.
@@ -57,10 +57,8 @@ type Decoded struct {
 	blocksX    [3]int
 	blocksY    [3]int
 
-	// xf is the inverse engine pixels reconstruct with; reconWorkers is
-	// > 1 when the entropy data decoded sharded, and reconstruction then
-	// reuses that fan-out.
-	xf           dct.Transform
+	// reconWorkers is > 1 when the entropy data decoded sharded, and
+	// reconstruction then reuses that fan-out.
 	reconWorkers int
 
 	// scratch is the flat block-row plane of sequential reconstruction;
@@ -99,7 +97,7 @@ func (d *Decoded) Reset() {
 	d.RestartInterval = 0
 	d.Progressive = false
 	d.maxH, d.maxV = 0, 0
-	d.xf, d.reconWorkers = 0, 0
+	d.reconWorkers = 0
 	d.Metadata = d.Metadata[:0]
 	d.metaBuf = d.metaBuf[:0]
 	for i := range d.planes {
@@ -141,14 +139,14 @@ func (d *Decoded) reconstruct(n int) {
 	if d.reconWorkers > 1 {
 		// The workers capture the descriptors; cloning them keeps buf on
 		// the stack for the allocation-free sequential path.
-		reconstructSharded(slices.Clone(comps), d.reconWorkers, d.xf)
+		reconstructSharded(slices.Clone(comps), d.reconWorkers)
 		return
 	}
 	for i := range comps {
 		c := &comps[i]
 		d.scratch = growFloats(d.scratch, c.blocksX*64)
 		for by := 0; by < c.blocksY; by++ {
-			reconstructBlockRow(c, by, d.scratch, d.xf)
+			reconstructBlockRow(c, by, d.scratch)
 		}
 	}
 }
@@ -217,14 +215,6 @@ func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
 
 // DecodeOptions configures Decode/DecodeInto.
 type DecodeOptions struct {
-	// Transform selects the inverse block-transform engine used to
-	// reconstruct pixels. DecodeInto validates it and folds it into the
-	// dequantization multipliers, but the IDCT itself runs on the first
-	// GrayInto/RGBInto, so coefficient-only consumers never pay for it.
-	// The zero value (dct.TransformNaive) keeps the separable row–column
-	// path; dct.TransformAAN switches to the fast AAN butterfly. Engines
-	// agree within one grey level (IDCT rounding).
-	Transform dct.Transform
 	// MaxPixels rejects frames whose declared width×height exceeds it
 	// (0 = unlimited). The decoder sizes its planes and coefficient grids
 	// from the SOF header before any entropy data is read, so a tiny
@@ -271,7 +261,6 @@ type decoder struct {
 	bits  *bitio.Reader        // pooled entropy reader
 	quant map[int]qtable.Table // aliases dst.QuantTables during a run
 	dst   *Decoded
-	xf    dct.Transform
 
 	frame frame // per-image state shared by all scans
 
@@ -321,7 +310,6 @@ func (d *decoder) release() {
 	d.bits.Reset(eofReader{})
 	d.quant = nil
 	d.dst = nil
-	d.xf = 0
 	d.frame = frame{}
 	d.huff = [8]*decTable{}
 	d.compArr = [3]component{}
@@ -365,9 +353,6 @@ func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 	if opts != nil {
 		o = *opts
 	}
-	if !o.Transform.Valid() {
-		return fmt.Errorf("jpegcodec: unknown transform engine %d", o.Transform)
-	}
 	dst.Reset()
 	if dst.QuantTables == nil {
 		dst.QuantTables = map[int]qtable.Table{}
@@ -379,7 +364,6 @@ func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 	d.br = br
 	d.quant = dst.QuantTables
 	d.dst = dst
-	d.xf = o.Transform
 	d.maxPixels = o.MaxPixels
 	d.shard = o.ShardWorkers
 	err := d.run()
@@ -1039,10 +1023,10 @@ func (d *decoder) finishFrame() error {
 		if !ok {
 			return fmt.Errorf("jpegcodec: missing quantization table %d", c.tq)
 		}
-		// Fold the inverse engine's prescale into the dequantize
-		// multipliers once per frame; reconstructBlockRow then runs one
-		// multiply per coefficient with no prescale pass.
-		tbl.InvScaledInto(&d.dst.planes[i].inv, d.xf)
+		// Fold the AAN prescale into the dequantize multipliers once per
+		// frame; reconstructBlockRow then runs one multiply per
+		// coefficient with no prescale pass.
+		tbl.InvScaledInto(&d.dst.planes[i].inv, dct.TransformAAN)
 	}
 	return d.finish()
 }
@@ -1057,7 +1041,6 @@ func (d *decoder) finish() error {
 	out.RestartInterval = d.ri
 	out.Progressive = f.progressive
 	out.maxH, out.maxV = f.maxH, f.maxV
-	out.xf = d.xf
 	out.reconWorkers = d.reconWorkers
 	if len(f.comps) == 3 {
 		out.Sampling = classifySampling(f.comps)

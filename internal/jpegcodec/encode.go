@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/bitio"
+	"repro/internal/dct"
 	"repro/internal/imgutil"
 	"repro/internal/qtable"
 )
@@ -81,9 +82,6 @@ func EncodeGray(w io.Writer, img *imgutil.Gray, opts *Options) error {
 // optional Huffman optimization, then marker and scan emission. scratch
 // donates reusable coefficient grids and may be nil.
 func encode(w io.Writer, width, height int, comps []*component, o *Options, scratch *encScratch) error {
-	if !o.Transform.Valid() {
-		return fmt.Errorf("jpegcodec: unknown transform engine %d", o.Transform)
-	}
 	if err := validateRestartInterval(o.RestartInterval); err != nil {
 		return err
 	}
@@ -96,10 +94,10 @@ func encode(w io.Writer, width, height int, comps []*component, o *Options, scra
 	mcusY := (height + 8*maxV - 1) / (8 * maxV)
 
 	// Resolve the fused forward divisors: the caller's cache when it
-	// matches this exact table set and engine (one build per Framework),
-	// otherwise derived into the pooled scratch — never per block.
+	// matches this exact table set (one build per Framework), otherwise
+	// derived into the pooled scratch — never per block.
 	var fwdLuma, fwdChroma *qtable.FwdScaled
-	if o.Scaled.matches(&o.LumaTable, &o.ChromaTable, o.Transform) {
+	if o.Scaled.matches(&o.LumaTable, &o.ChromaTable) {
 		fwdLuma, fwdChroma = &o.Scaled.fwdLuma, &o.Scaled.fwdChroma
 	} else {
 		var localFwd [2]qtable.FwdScaled
@@ -107,8 +105,8 @@ func encode(w io.Writer, width, height int, comps []*component, o *Options, scra
 		if scratch != nil {
 			fwd = &scratch.fwd
 		}
-		o.LumaTable.FwdScaledInto(&fwd[0], o.Transform)
-		o.ChromaTable.FwdScaledInto(&fwd[1], o.Transform)
+		o.LumaTable.FwdScaledInto(&fwd[0], dct.TransformAAN)
+		o.ChromaTable.FwdScaledInto(&fwd[1], dct.TransformAAN)
 		fwdLuma, fwdChroma = &fwd[0], &fwd[1]
 	}
 
@@ -133,7 +131,7 @@ func encode(w io.Writer, width, height int, comps []*component, o *Options, scra
 			c.coefs = make([][64]int32, c.blocksX*c.blocksY)
 		}
 		plane = growFloats(plane, c.blocksX*64)
-		transformComponent(c, tbl, o.ZeroMask, o.Transform, plane)
+		transformComponent(c, tbl, o.ZeroMask, plane)
 	}
 	if scratch != nil {
 		scratch.plane = plane

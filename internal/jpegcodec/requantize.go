@@ -34,11 +34,8 @@ import (
 // lever); a negative value strips restart markers and a positive one
 // replaces the interval. The source's APPn/COM segments (EXIF, ICC,
 // comments) are re-emitted in order unless opts.StripMetadata is set or
-// opts.Metadata supplies replacements. Because no pixels are touched,
-// the output is independent of Options.Transform — the engine choice
-// only matters on paths that run a DCT — but the option is still
-// validated so a bad configuration fails here exactly as it would on
-// encode.
+// opts.Metadata supplies replacements. No pixels are touched and no
+// DCT runs.
 func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Options) error {
 	if err := luma.Validate(); err != nil {
 		return fmt.Errorf("jpegcodec: requantize luma: %w", err)
@@ -51,9 +48,6 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 	var o Options
 	if opts != nil {
 		o = *opts
-	}
-	if !o.Transform.Valid() {
-		return fmt.Errorf("jpegcodec: unknown transform engine %d", o.Transform)
 	}
 	if o.RestartInterval == 0 {
 		o.RestartInterval = d.RestartInterval

@@ -139,38 +139,36 @@ func decodeAll(t *testing.T, stream []byte, opts *DecodeOptions) *Decoded {
 }
 
 // TestRestartIntervalMatrix round-trips restart intervals across layout ×
-// transform engine × Huffman mode: the restart stream must carry its DRI,
+// Huffman mode: the restart stream must carry its DRI,
 // decode to exactly the pixels and coefficients of the same encode
 // without restarts, and stay readable by the stdlib decoder.
 func TestRestartIntervalMatrix(t *testing.T) {
 	const w, h = 64, 48 // 420: 12 MCUs, 444/gray: 48 MCUs
 	for _, layout := range restartLayouts(w, h) {
-		for _, xf := range bothEngines {
-			for _, optimize := range []bool{false, true} {
-				base := layout.enc(t, &Options{Transform: xf, OptimizeHuffman: optimize})
-				ref := decodeAll(t, base, nil)
-				for _, ri := range []int{1, 2, 5, 7, 100} {
-					name := fmt.Sprintf("%s/%s/opt=%v/ri=%d", layout.name, xf, optimize, ri)
-					stream := layout.enc(t, &Options{Transform: xf, OptimizeHuffman: optimize, RestartInterval: ri})
-					if got := parseDRIValue(t, stream); got != ri {
-						t.Fatalf("%s: DRI %d", name, got)
-					}
-					dec := decodeAll(t, stream, nil)
-					if dec.RestartInterval != ri {
-						t.Fatalf("%s: decoded RestartInterval %d", name, dec.RestartInterval)
-					}
-					// Restart markers change stream framing, never content.
-					if !bytes.Equal(ref.RGB().Pix, dec.RGB().Pix) {
-						t.Fatalf("%s: pixels differ from the ri=0 encode", name)
-					}
-					// Interop: the stdlib decoder must accept the stream.
-					cfg, err := jpeg.DecodeConfig(bytes.NewReader(stream))
-					if err != nil || cfg.Width != w || cfg.Height != h {
-						t.Fatalf("%s: stdlib DecodeConfig %v %dx%d", name, err, cfg.Width, cfg.Height)
-					}
-					if _, err := jpeg.Decode(bytes.NewReader(stream)); err != nil {
-						t.Fatalf("%s: stdlib decode: %v", name, err)
-					}
+		for _, optimize := range []bool{false, true} {
+			base := layout.enc(t, &Options{OptimizeHuffman: optimize})
+			ref := decodeAll(t, base, nil)
+			for _, ri := range []int{1, 2, 5, 7, 100} {
+				name := fmt.Sprintf("%s/opt=%v/ri=%d", layout.name, optimize, ri)
+				stream := layout.enc(t, &Options{OptimizeHuffman: optimize, RestartInterval: ri})
+				if got := parseDRIValue(t, stream); got != ri {
+					t.Fatalf("%s: DRI %d", name, got)
+				}
+				dec := decodeAll(t, stream, nil)
+				if dec.RestartInterval != ri {
+					t.Fatalf("%s: decoded RestartInterval %d", name, dec.RestartInterval)
+				}
+				// Restart markers change stream framing, never content.
+				if !bytes.Equal(ref.RGB().Pix, dec.RGB().Pix) {
+					t.Fatalf("%s: pixels differ from the ri=0 encode", name)
+				}
+				// Interop: the stdlib decoder must accept the stream.
+				cfg, err := jpeg.DecodeConfig(bytes.NewReader(stream))
+				if err != nil || cfg.Width != w || cfg.Height != h {
+					t.Fatalf("%s: stdlib DecodeConfig %v %dx%d", name, err, cfg.Width, cfg.Height)
+				}
+				if _, err := jpeg.Decode(bytes.NewReader(stream)); err != nil {
+					t.Fatalf("%s: stdlib decode: %v", name, err)
 				}
 			}
 		}
@@ -178,23 +176,21 @@ func TestRestartIntervalMatrix(t *testing.T) {
 }
 
 // TestShardedEncodeByteIdentical is the encode-side equivalence
-// property: for every layout, engine, Huffman mode and worker count, the
+// property: for every layout, Huffman mode and worker count, the
 // sharded writer must emit exactly the sequential writer's bytes.
 func TestShardedEncodeByteIdentical(t *testing.T) {
 	const w, h = 120, 88 // 420: 8×6 = 48 MCUs
 	for _, layout := range restartLayouts(w, h) {
-		for _, xf := range bothEngines {
-			for _, optimize := range []bool{false, true} {
-				for _, ri := range []int{1, 3, 8} {
-					seq := layout.enc(t, &Options{Transform: xf, OptimizeHuffman: optimize,
-						RestartInterval: ri, ShardWorkers: 1})
-					for _, workers := range []int{2, 3, 16} {
-						sharded := layout.enc(t, &Options{Transform: xf, OptimizeHuffman: optimize,
-							RestartInterval: ri, ShardWorkers: workers})
-						if !bytes.Equal(seq, sharded) {
-							t.Fatalf("%s/%s/opt=%v/ri=%d: %d-worker stream differs from sequential (%d vs %d bytes)",
-								layout.name, xf, optimize, ri, workers, len(seq), len(sharded))
-						}
+		for _, optimize := range []bool{false, true} {
+			for _, ri := range []int{1, 3, 8} {
+				seq := layout.enc(t, &Options{OptimizeHuffman: optimize,
+					RestartInterval: ri, ShardWorkers: 1})
+				for _, workers := range []int{2, 3, 16} {
+					sharded := layout.enc(t, &Options{OptimizeHuffman: optimize,
+						RestartInterval: ri, ShardWorkers: workers})
+					if !bytes.Equal(seq, sharded) {
+						t.Fatalf("%s/opt=%v/ri=%d: %d-worker stream differs from sequential (%d vs %d bytes)",
+							layout.name, optimize, ri, workers, len(seq), len(sharded))
 					}
 				}
 			}

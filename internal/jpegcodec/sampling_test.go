@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dct"
 	"repro/internal/qtable"
 )
 
@@ -97,71 +96,68 @@ func TestRGBIntoMatchesStdlibOn422Family(t *testing.T) {
 }
 
 // TestSamplingMatrix drives every chroma layout through the full
-// pipeline matrix — transform engine × restart structure × shard
-// workers — and holds requantization to its contracts: sharded output
-// bytes identical to sequential, a second requantize under the same
-// tables byte-stable, and the result decodable at the source geometry.
+// pipeline matrix — restart structure × shard workers — and holds
+// requantization to its contracts: sharded output bytes identical to
+// sequential, a second requantize under the same tables byte-stable,
+// and the result decodable at the source geometry.
 func TestSamplingMatrix(t *testing.T) {
 	img := testImageRGB(72, 56, 33)
 	newLuma := qtable.MustScale(qtable.StdLuminance, 60)
 	newChroma := qtable.MustScale(qtable.StdChrominance, 60)
 	for _, sub := range samplingLayouts {
-		for _, engine := range []dct.Transform{dct.TransformNaive, dct.TransformAAN} {
-			for _, restart := range []int{0, 3} {
-				name := sub.String() + "/" + map[dct.Transform]string{
-					dct.TransformNaive: "naive", dct.TransformAAN: "aan"}[engine]
-				if restart > 0 {
-					name += "/restart"
-				}
-				t.Run(name, func(t *testing.T) {
-					data := encodeToBytes(t, img, &Options{
-						LumaTable:       qtable.MustScale(qtable.StdLuminance, 90),
-						ChromaTable:     qtable.MustScale(qtable.StdChrominance, 90),
-						Subsampling:     sub,
-						Transform:       engine,
-						RestartInterval: restart,
-					})
-					var seq, shard Decoded
-					if err := DecodeInto(bytes.NewReader(data), &seq, &DecodeOptions{Transform: engine, ShardWorkers: 1}); err != nil {
-						t.Fatal(err)
-					}
-					if err := DecodeInto(bytes.NewReader(data), &shard, &DecodeOptions{Transform: engine, ShardWorkers: 4}); err != nil {
-						t.Fatal(err)
-					}
-					decodedEqual(t, &seq, &shard, "sharded decode")
-
-					requant := func(opts *Options) []byte {
-						var buf bytes.Buffer
-						if err := Requantize(&buf, &seq, newLuma, newChroma, opts); err != nil {
-							t.Fatalf("requantize: %v", err)
-						}
-						return buf.Bytes()
-					}
-					out := requant(nil)
-					if shardOut := requant(&Options{ShardWorkers: 4}); !bytes.Equal(out, shardOut) {
-						t.Fatal("sharded requantize bytes differ from sequential")
-					}
-					var mid Decoded
-					if err := DecodeInto(bytes.NewReader(out), &mid, nil); err != nil {
-						t.Fatalf("requantized stream does not decode: %v", err)
-					}
-					if mid.W != seq.W || mid.H != seq.H || mid.Sampling != seq.Sampling {
-						t.Fatalf("requantized geometry %dx%d %v, source %dx%d %v",
-							mid.W, mid.H, mid.Sampling, seq.W, seq.H, seq.Sampling)
-					}
-					var buf2 bytes.Buffer
-					if err := Requantize(&buf2, &mid, newLuma, newChroma, nil); err != nil {
-						t.Fatalf("second requantize: %v", err)
-					}
-					if !bytes.Equal(out, buf2.Bytes()) {
-						t.Fatal("requantize is not byte-stable under the same tables")
-					}
-					// The emitted stream must stay plain baseline JFIF.
-					if _, err := jpeg.Decode(bytes.NewReader(out)); err != nil {
-						t.Fatalf("stdlib rejects the requantized stream: %v", err)
-					}
-				})
+		for _, restart := range []int{0, 3} {
+			// Subtests carry the name of the transform the codec runs.
+			name := sub.String() + "/aan"
+			if restart > 0 {
+				name += "/restart"
 			}
+			t.Run(name, func(t *testing.T) {
+				data := encodeToBytes(t, img, &Options{
+					LumaTable:       qtable.MustScale(qtable.StdLuminance, 90),
+					ChromaTable:     qtable.MustScale(qtable.StdChrominance, 90),
+					Subsampling:     sub,
+					RestartInterval: restart,
+				})
+				var seq, shard Decoded
+				if err := DecodeInto(bytes.NewReader(data), &seq, &DecodeOptions{ShardWorkers: 1}); err != nil {
+					t.Fatal(err)
+				}
+				if err := DecodeInto(bytes.NewReader(data), &shard, &DecodeOptions{ShardWorkers: 4}); err != nil {
+					t.Fatal(err)
+				}
+				decodedEqual(t, &seq, &shard, "sharded decode")
+
+				requant := func(opts *Options) []byte {
+					var buf bytes.Buffer
+					if err := Requantize(&buf, &seq, newLuma, newChroma, opts); err != nil {
+						t.Fatalf("requantize: %v", err)
+					}
+					return buf.Bytes()
+				}
+				out := requant(nil)
+				if shardOut := requant(&Options{ShardWorkers: 4}); !bytes.Equal(out, shardOut) {
+					t.Fatal("sharded requantize bytes differ from sequential")
+				}
+				var mid Decoded
+				if err := DecodeInto(bytes.NewReader(out), &mid, nil); err != nil {
+					t.Fatalf("requantized stream does not decode: %v", err)
+				}
+				if mid.W != seq.W || mid.H != seq.H || mid.Sampling != seq.Sampling {
+					t.Fatalf("requantized geometry %dx%d %v, source %dx%d %v",
+						mid.W, mid.H, mid.Sampling, seq.W, seq.H, seq.Sampling)
+				}
+				var buf2 bytes.Buffer
+				if err := Requantize(&buf2, &mid, newLuma, newChroma, nil); err != nil {
+					t.Fatalf("second requantize: %v", err)
+				}
+				if !bytes.Equal(out, buf2.Bytes()) {
+					t.Fatal("requantize is not byte-stable under the same tables")
+				}
+				// The emitted stream must stay plain baseline JFIF.
+				if _, err := jpeg.Decode(bytes.NewReader(out)); err != nil {
+					t.Fatalf("stdlib rejects the requantized stream: %v", err)
+				}
+			})
 		}
 	}
 }

@@ -4,10 +4,11 @@ package jpegcodec
 // or multiply per coefficient, scale factors folded into the table) must
 // produce exactly what the textbook two-pass formulation produces — the
 // orthonormal transform followed by plain integer-step quantization.
-// These property tests are the layer below the stream-equivalence tests
-// in transform_equiv_test.go: they pin the arithmetic per block, so a
-// folding bug is caught at the coefficient where it happens rather than
-// as an opaque byte diff.
+// These property tests are the layer below the golden stream digests in
+// golden_test.go: they pin the arithmetic per block, under the AAN
+// engine the codec runs and its naive oracle, so a folding bug is
+// caught at the coefficient where it happens rather than as an opaque
+// byte diff.
 
 import (
 	"bytes"
@@ -41,7 +42,7 @@ func TestFusedQuantizationMatchesUnfused(t *testing.T) {
 		qtable.Uniform(255),
 	}
 	rng := rand.New(rand.NewSource(47))
-	for _, xf := range bothEngines {
+	for _, xf := range []dct.Transform{dct.TransformNaive, dct.TransformAAN} {
 		for trial := 0; trial < 1500; trial++ {
 			tile := randTile(rng)
 			tbl := tables[trial%len(tables)]
@@ -75,7 +76,7 @@ func randCoefs(rng *rand.Rand) [64]int32 {
 func TestFusedDequantizationMatchesUnfused(t *testing.T) {
 	tables := []qtable.Table{qtable.StdLuminance, qtable.Uniform(3), qtable.MustScale(qtable.StdLuminance, 90)}
 	rng := rand.New(rand.NewSource(53))
-	for _, xf := range bothEngines {
+	for _, xf := range []dct.Transform{dct.TransformNaive, dct.TransformAAN} {
 		for trial := 0; trial < 800; trial++ {
 			coefs := randCoefs(rng)
 			tbl := tables[trial%len(tables)]
@@ -121,35 +122,28 @@ func TestFusedDequantizationMatchesUnfused(t *testing.T) {
 
 // TestEncodeHonorsPrecomputedScaled pins the cache fast path end to end:
 // attaching a matching precomputed cache must not change a single output
-// byte, and a stale cache (tables or engine swapped after precompute)
-// must degrade to fresh derivation — same bytes again — rather than
-// encode through the wrong divisors.
+// byte, and a stale cache (tables swapped after precompute) must degrade
+// to fresh derivation — same bytes again — rather than encode through
+// the wrong divisors.
 func TestEncodeHonorsPrecomputedScaled(t *testing.T) {
 	img := testImageRGB(48, 40, 21)
 	luma := qtable.MustScale(qtable.StdLuminance, 60)
 	chroma := qtable.MustScale(qtable.StdChrominance, 60)
-	base := Options{LumaTable: luma, ChromaTable: chroma, Transform: dct.TransformAAN}
+	base := Options{LumaTable: luma, ChromaTable: chroma}
 	want := encodeToBytes(t, img, &base)
 
 	t.Run("matching-cache", func(t *testing.T) {
 		opts := base
-		opts.Scaled = PrecomputeScaled(luma, chroma, dct.TransformAAN)
+		opts.Scaled = PrecomputeScaled(luma, chroma)
 		if got := encodeToBytes(t, img, &opts); !bytes.Equal(got, want) {
 			t.Fatal("a matching precomputed cache changed the emitted stream")
 		}
 	})
 	t.Run("stale-tables", func(t *testing.T) {
 		opts := base
-		opts.Scaled = PrecomputeScaled(qtable.StdLuminance, qtable.StdChrominance, dct.TransformAAN)
+		opts.Scaled = PrecomputeScaled(qtable.StdLuminance, qtable.StdChrominance)
 		if got := encodeToBytes(t, img, &opts); !bytes.Equal(got, want) {
 			t.Fatal("a stale cache must be ignored, not trusted")
-		}
-	})
-	t.Run("stale-engine", func(t *testing.T) {
-		opts := base
-		opts.Scaled = PrecomputeScaled(luma, chroma, dct.TransformNaive)
-		if got := encodeToBytes(t, img, &opts); !bytes.Equal(got, want) {
-			t.Fatal("a cache built for another engine must be ignored")
 		}
 	})
 }

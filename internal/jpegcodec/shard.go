@@ -54,7 +54,6 @@ import (
 	"io"
 
 	"repro/internal/bitio"
-	"repro/internal/dct"
 	"repro/internal/pipeline"
 )
 
@@ -332,7 +331,7 @@ func (d *decoder) scanSharded(scomps []*component, workers int) (byte, error) {
 // coefficients, so workers share the planes without synchronization.
 // Each worker checks a flat scratch plane out of planePool (the
 // sequential path reuses the Decoded's retained scratch instead).
-func reconstructSharded(comps []component, workers int, xf dct.Transform) {
+func reconstructSharded(comps []component, workers int) {
 	rows := 0
 	var rowStart [3]int
 	for i := range comps {
@@ -357,7 +356,7 @@ func reconstructSharded(comps []component, workers int, xf dct.Transform) {
 		c := &comps[ci]
 		p := growFloats(*planes[w], c.blocksX*64)
 		*planes[w] = p
-		reconstructBlockRow(c, i-rowStart[ci], p, xf)
+		reconstructBlockRow(c, i-rowStart[ci], p)
 		return nil
 	})
 }

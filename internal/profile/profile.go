@@ -25,6 +25,11 @@
 //	[chroma stats, when flag bit 0 is set]
 //	crc32 (IEEE, over every preceding byte)
 //
+// The transform byte is reserved: it once named the codec's block-
+// transform engine (0 naive, 1 AAN) and no longer selects anything, as
+// the codec runs one transform. New profiles write 1; Decode accepts 0
+// or 1 and keeps the value so an older file re-encodes to its own bytes.
+//
 // The encoding is canonical: a Profile always serializes to the same
 // bytes, and Decode accepts exactly what Encode emits — no trailing
 // data, no unknown flags, bit-exact floats — so decode→encode round
@@ -43,7 +48,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dct"
 	"repro/internal/freqstat"
 	"repro/internal/plm"
 	"repro/internal/qtable"
@@ -97,8 +101,6 @@ type Profile struct {
 	CreatedUnix int64
 	// Comment is free-form provenance (source dataset, trainer, ticket).
 	Comment string
-	// Transform is the block-transform engine the profile's codec runs.
-	Transform dct.Transform
 	// SampledCount is how many images the calibration pass consumed.
 	SampledCount int
 	// Luma and Chroma are the derived quantization tables.
@@ -112,6 +114,12 @@ type Profile struct {
 	// per-band coefficient statistics the tables were derived from.
 	LumaStats   *freqstat.Stats
 	ChromaStats *freqstat.Stats
+
+	// legacyTransform records a reserved transform byte of 0, read from
+	// a file written when that byte selected the naive engine; Encode
+	// writes it back so such files keep their bytes, hashes and
+	// signatures. Profiles built any other way write 1.
+	legacyTransform bool
 }
 
 // ValidateName checks a profile name: 1..MaxNameLen characters, lower-case
@@ -172,9 +180,6 @@ func (p *Profile) Validate() error {
 	}
 	if len(p.Comment) > MaxCommentLen {
 		return fmt.Errorf("profile: comment exceeds %d bytes", MaxCommentLen)
-	}
-	if !p.Transform.Valid() {
-		return fmt.Errorf("profile: unknown transform engine %d", p.Transform)
 	}
 	// Bound by int32 (not uint32) so the count round-trips identically on
 	// 32-bit platforms, where int cannot hold the upper uint32 range.
@@ -251,7 +256,7 @@ func (p *Profile) Encode() ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, uint64(p.CreatedUnix))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Comment)))
 	b = append(b, p.Comment...)
-	b = append(b, byte(p.Transform))
+	b = append(b, p.transformByte())
 	b = binary.BigEndian.AppendUint32(b, uint32(p.SampledCount))
 	b = p.Luma.AppendBinary(b)
 	b = p.Chroma.AppendBinary(b)
@@ -286,7 +291,7 @@ func Decode(data []byte) (*Profile, error) {
 	p.Version = r.uint32()
 	p.CreatedUnix = int64(r.uint64())
 	p.Comment = string(r.varBytes(MaxCommentLen))
-	p.Transform = dct.Transform(r.byte())
+	transform := r.byte()
 	p.SampledCount = int(r.uint32())
 	p.Luma = r.table()
 	p.Chroma = r.table()
@@ -309,6 +314,10 @@ func Decode(data []byte) (*Profile, error) {
 	if want := crc32.ChecksumIEEE(data[:payload]); sum != want {
 		return nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, sum, want)
 	}
+	if transform > 1 {
+		return nil, fmt.Errorf("%w: unknown transform byte %d", ErrCorrupt, transform)
+	}
+	p.legacyTransform = transform == 0
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -392,7 +401,6 @@ func FromFramework(fw *core.Framework, m Meta) (*Profile, error) {
 		Version:          m.Version,
 		CreatedUnix:      m.CreatedUnix,
 		Comment:          m.Comment,
-		Transform:        fw.Transform,
 		SampledCount:     fw.SampledCount,
 		Luma:             fw.LumaTable,
 		Chroma:           fw.ChromaTable,
@@ -413,7 +421,15 @@ func (p *Profile) Framework() (*core.Framework, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return core.Restore(p.Params, p.LumaStats, p.ChromaStats, p.Luma, p.Chroma, p.SampledCount, p.Transform)
+	return core.Restore(p.Params, p.LumaStats, p.ChromaStats, p.Luma, p.Chroma, p.SampledCount)
+}
+
+// transformByte is the reserved transform byte Encode writes.
+func (p *Profile) transformByte() byte {
+	if p.legacyTransform {
+		return 0
+	}
+	return 1
 }
 
 // reader consumes the profile byte stream with sticky error state, so

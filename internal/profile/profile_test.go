@@ -11,8 +11,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dct"
 	"repro/internal/freqstat"
+	"repro/internal/imgutil"
+	"repro/internal/jpegcodec"
 	"repro/internal/plm"
 	"repro/internal/qtable"
 )
@@ -37,7 +38,6 @@ func syntheticProfile(chroma bool) *Profile {
 		Version:      3,
 		CreatedUnix:  1700000000,
 		Comment:      "handcrafted golden fixture",
-		Transform:    dct.TransformAAN,
 		SampledCount: 512,
 		Params: plm.Params{
 			A: 255, B: 80, C: 240,
@@ -102,7 +102,7 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(data, again) {
 			t.Fatalf("chroma=%v: decode→encode is not byte-identical", chroma)
 		}
-		if back.Ref() != "synthetic@3" || back.Transform != dct.TransformAAN ||
+		if back.Ref() != "synthetic@3" ||
 			back.SampledCount != 512 || back.CreatedUnix != 1700000000 {
 			t.Fatalf("chroma=%v: fields did not survive: %+v", chroma, back)
 		}
@@ -125,7 +125,7 @@ func TestCalibratedRoundTripRestoresFramework(t *testing.T) {
 	if fw2.LumaTable != fw.LumaTable || fw2.ChromaTable != fw.ChromaTable {
 		t.Fatal("restored tables differ from calibrated ones")
 	}
-	if fw2.Transform != fw.Transform || fw2.SampledCount != fw.SampledCount {
+	if fw2.SampledCount != fw.SampledCount {
 		t.Fatal("restored metadata differs")
 	}
 	if *fw2.Stats != *fw.Stats {
@@ -164,6 +164,89 @@ func TestGolden(t *testing.T) {
 	}
 	if again := encodeOK(t, p); !bytes.Equal(again, got) {
 		t.Fatal("golden re-encode is not byte-identical")
+	}
+}
+
+// transformByteOffset locates the reserved transform byte in p's
+// encoding: it follows magic(4) format(2) flags(2), the length-prefixed
+// name, version(4), created(8) and the length-prefixed comment.
+func transformByteOffset(p *Profile) int {
+	return 4 + 2 + 2 + 2 + len(p.Name) + 4 + 8 + 2 + len(p.Comment)
+}
+
+// TestLegacyTransformByte pins the reserved transform byte. A file that
+// carries 0 (written when the byte selected the naive engine) must load,
+// re-encode to its own bytes — so hub hashes and signatures stay valid —
+// and restore a codec whose encode and requantize output equals the
+// byte-1 golden's; any other value is corrupt.
+func TestLegacyTransformByte(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.dnp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := transformByteOffset(syntheticProfile(true))
+	if golden[off] != 1 {
+		t.Fatalf("golden transform byte = %d, want 1", golden[off])
+	}
+	legacy := bytes.Clone(golden)
+	legacy[off] = 0
+	legacy = patchCRC(legacy)
+
+	lp, err := Decode(legacy)
+	if err != nil {
+		t.Fatalf("legacy profile rejected: %v", err)
+	}
+	if again := encodeOK(t, lp); !bytes.Equal(again, legacy) {
+		t.Fatal("legacy profile does not re-encode byte-identically")
+	}
+	gp, err := Decode(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := Compare(lp, gp); !d.Identical() {
+		t.Fatalf("legacy and golden profiles compare different: %+v", d)
+	}
+
+	img := imgutil.NewRGB(40, 24)
+	for i := range img.Pix {
+		img.Pix[i] = uint8(i * 37 % 251)
+	}
+	codecBytes := func(p *Profile) (enc, req []byte) {
+		fw, err := p.Framework()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err = fw.Scheme().EncodeRGB(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := core.SchemeJPEG(90).EncodeRGB(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := jpegcodec.Decode(bytes.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := jpegcodec.Requantize(&buf, dec, fw.LumaTable, fw.ChromaTable, nil); err != nil {
+			t.Fatal(err)
+		}
+		return enc, buf.Bytes()
+	}
+	le, lr := codecBytes(lp)
+	ge, gr := codecBytes(gp)
+	if !bytes.Equal(le, ge) {
+		t.Fatal("legacy profile encodes differently from the golden")
+	}
+	if !bytes.Equal(lr, gr) {
+		t.Fatal("legacy profile requantizes differently from the golden")
+	}
+
+	bad := bytes.Clone(golden)
+	bad[off] = 2
+	if _, err := Decode(patchCRC(bad)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("transform byte 2: error %v, want ErrCorrupt", err)
 	}
 }
 
@@ -241,7 +324,6 @@ func TestEncodeValidation(t *testing.T) {
 		{"empty name", func(p *Profile) { p.Name = "" }, "name"},
 		{"illegal name", func(p *Profile) { p.Name = "No/Slash" }, "name"},
 		{"version zero", func(p *Profile) { p.Version = 0 }, "version"},
-		{"bad transform", func(p *Profile) { p.Transform = 99 }, "transform"},
 		{"zero table step", func(p *Profile) { p.Luma[0] = 0 }, "luma table"},
 		{"nil stats", func(p *Profile) { p.LumaStats = nil }, "statistics"},
 		{"chroma mismatch", func(p *Profile) { p.ChromaStats = nil }, "chroma"},
@@ -258,6 +340,16 @@ func TestEncodeValidation(t *testing.T) {
 			}
 		})
 	}
+	// The transform byte is no Profile field, so no mutation can encode
+	// a bad one; it is checked on the raw bytes instead.
+	t.Run("bad transform", func(t *testing.T) {
+		p := base()
+		data := encodeOK(t, p)
+		data[transformByteOffset(p)] = 99
+		if _, err := Decode(patchCRC(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "transform") {
+			t.Fatalf("error %v, want ErrCorrupt mentioning the transform byte", err)
+		}
+	})
 }
 
 func nan() float64 { z := 0.0; return z / z }

@@ -13,9 +13,11 @@ package qtable
 //	inverse:  ortho·q → scaled input = coef·q·prescale = coef·(q·prescale)
 //
 // FwdScaled holds the fused divisors q[i]/descale2D[i], InvScaled the
-// fused multipliers q[i]·prescale2D[i]. For the naive engine both are
-// simply float64(q[i]) — the orthonormal basis needs no folding — so one
-// code path serves every engine. Tables are derived per (Table,
+// fused multipliers q[i]·prescale2D[i]. The codec folds for
+// dct.TransformAAN, the engine it runs. For dct.TransformNaive both are
+// simply float64(q[i]) — the orthonormal basis needs no folding — which
+// is the identity scaling the coefficient-domain requantizer uses and the
+// pairing the naive reference tests run. Tables are derived per (Table,
 // Transform) pair and are cheap to build but worth caching: the codec
 // builds them once per Framework (and once per decoded stream on the
 // decode side), never per block.

@@ -16,9 +16,9 @@
 //	GET  /healthz        liveness + uptime
 //	GET  /metrics        expvar-style JSON counters
 //
-// Request options travel as query parameters (?quality=, ?transform=,
-// ?subsampling=, ?optimize=, ?format=, ?strip_metadata=); errors come
-// back as structured
+// Request options travel as query parameters (?quality=,
+// ?subsampling=, ?optimize=, ?format=, ?strip_metadata=); unknown
+// parameters are ignored. Errors come back as structured
 // JSON ({"error":{"code","message"},"status"}). Authentication is a
 // static API-key table (X-API-Key or Authorization: Bearer); a server
 // constructed without keys runs open with a single anonymous tenant.
@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dct"
 	"repro/internal/imgutil"
 	"repro/internal/jpegcodec"
 	"repro/internal/pipeline"
@@ -72,8 +71,8 @@ type servingProfile struct {
 // DefaultProfile is required; every other field has a serving-safe
 // default.
 type Options struct {
-	// Framework supplies the calibrated tables and default transform
-	// engine the unqualified encode/requantize paths use. Optional when
+	// Framework supplies the calibrated tables the unqualified
+	// encode/requantize paths use. Optional when
 	// DefaultProfile names a profile to serve instead.
 	Framework *core.Framework
 	// ProfileDir, when set, loads a registry of persisted calibration
@@ -340,11 +339,10 @@ func New(opts Options) (*Server, error) {
 
 // ServingProfile reports the default table set currently being served:
 // the profile's name and version (empty/0 when the server runs on an
-// in-memory calibration) plus the restored framework's transform engine
-// and calibration size.
-func (s *Server) ServingProfile() (name string, version uint32, transform dct.Transform, sampled int) {
+// in-memory calibration) plus the restored framework's calibration size.
+func (s *Server) ServingProfile() (name string, version uint32, sampled int) {
 	sp := s.serving.Load()
-	return sp.name, sp.version, sp.fw.Transform, sp.fw.SampledCount
+	return sp.name, sp.version, sp.fw.SampledCount
 }
 
 // profileStatus is the profile block /healthz and /metrics share: which
@@ -686,20 +684,6 @@ func parseBoolParam(q url.Values, name string, def bool) (bool, error) {
 	return b, nil
 }
 
-func parseTransform(q url.Values, def dct.Transform) (dct.Transform, error) {
-	switch v := q.Get("transform"); v {
-	case "":
-		return def, nil
-	case "naive":
-		return dct.TransformNaive, nil
-	case "aan":
-		return dct.TransformAAN, nil
-	default:
-		return 0, errf(http.StatusBadRequest, "bad_transform",
-			"transform=%q is not one of naive, aan", v)
-	}
-}
-
 // parseQuality returns the quality factor and whether one was given at
 // all; absent means "use the calibrated DeepN-JPEG tables".
 func parseQuality(q url.Values) (int, bool, error) {
@@ -741,9 +725,6 @@ func (s *Server) encodeOptions(fw *core.Framework, q url.Values) (jpegcodec.Opti
 		opts.LumaTable, opts.ChromaTable = luma, chroma
 	}
 	var err error
-	if opts.Transform, err = parseTransform(q, opts.Transform); err != nil {
-		return opts, err
-	}
 	if v := q.Get("subsampling"); v == "" {
 		opts.Subsampling = jpegcodec.Sub420
 	} else if opts.Subsampling, err = jpegcodec.ParseSubsampling(v); err != nil {
@@ -959,17 +940,12 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, t *tenant)
 
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request, t *tenant) error {
 	q := r.URL.Query()
-	fw, err := s.frameworkFor(q, t)
-	if err != nil {
+	// Decoding needs no tables, but a ?profile= reference must still
+	// resolve, exactly as on the other routes.
+	if _, err := s.frameworkFor(q, t); err != nil {
 		return err
 	}
 	format, err := parseFormat(q)
-	if err != nil {
-		return err
-	}
-	// Default to the resolved profile's engine (-fast-dct accelerates
-	// decode too), overridable per request.
-	xf, err := parseTransform(q, fw.Transform)
 	if err != nil {
 		return err
 	}
@@ -979,7 +955,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request, t *tenant)
 	}
 	dec := s.decPool.Get().(*jpegcodec.Decoded)
 	defer s.decPool.Put(dec)
-	dopts := jpegcodec.DecodeOptions{Transform: xf, MaxPixels: s.opts.MaxPixels}
+	dopts := jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels}
 	if err := jpegcodec.DecodeInto(bytes.NewReader(body), dec, &dopts); err != nil {
 		return err
 	}
@@ -1106,11 +1082,7 @@ func (s *Server) batchOpFor(fw *core.Framework, q url.Values) (*batchOp, error) 
 		if err != nil {
 			return nil, err
 		}
-		xf, err := parseTransform(q, fw.Transform)
-		if err != nil {
-			return nil, err
-		}
-		dopts := jpegcodec.DecodeOptions{Transform: xf, MaxPixels: s.opts.MaxPixels}
+		dopts := jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels}
 		return &batchOp{contentType: format.contentType, run: func(sc *batchScratch, item []byte) ([]byte, error) {
 			sc.rd.Reset(item)
 			if err := jpegcodec.DecodeInto(&sc.rd, sc.dec, &dopts); err != nil {

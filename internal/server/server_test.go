@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dct"
 	"repro/internal/imgutil"
 	"repro/internal/jpegcodec"
 	"repro/internal/qtable"
@@ -173,11 +172,16 @@ func TestEncodeEndpointMatchesCodec(t *testing.T) {
 		}
 	})
 
+	// ?transform= once selected a DCT engine; it is now ignored like any
+	// unknown parameter, so both old engine names return the default stream.
 	t.Run("aan-identical", func(t *testing.T) {
-		_, naive := post(t, ts.URL+"/v1/encode?transform=naive", "", body, nil)
-		_, aan := post(t, ts.URL+"/v1/encode?transform=aan", "", body, nil)
-		if !bytes.Equal(naive, aan) {
-			t.Fatal("transform engines must emit byte-identical streams")
+		_, want := post(t, ts.URL+"/v1/encode", "", body, nil)
+		for _, v := range []string{"naive", "aan"} {
+			resp, got := post(t, ts.URL+"/v1/encode?transform="+v, "", body, nil)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("transform=%s: status %d, stream differs from the default: %v",
+					v, resp.StatusCode, !bytes.Equal(got, want))
+			}
 		}
 	})
 
@@ -599,8 +603,14 @@ func TestErrorPaths(t *testing.T) {
 		wantJSONError(t, resp, body, http.StatusBadRequest, "bad_quality")
 	})
 	t.Run("bad-transform", func(t *testing.T) {
-		resp, body := post(t, ts.URL+"/v1/encode?transform=dft", "", small, nil)
-		wantJSONError(t, resp, body, http.StatusBadRequest, "bad_transform")
+		// The bad_transform error is gone: an unknown engine name is
+		// ignored like any unknown parameter.
+		_, want := post(t, ts.URL+"/v1/encode", "", small, nil)
+		resp, got := post(t, ts.URL+"/v1/encode?transform=dft", "", small, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("transform=dft: status %d, stream differs from the default: %v (%q)",
+				resp.StatusCode, !bytes.Equal(got, want), got)
+		}
 	})
 	t.Run("bad-subsampling", func(t *testing.T) {
 		resp, body := post(t, ts.URL+"/v1/encode?subsampling=421", "", small, nil)
@@ -730,36 +740,6 @@ func TestUnsupportedFormatMatrix(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestDecodeDefaultsToServerTransform pins the -fast-dct contract: a
-// server configured with the AAN engine must decode with it by default,
-// not just when every client passes ?transform=aan.
-func TestDecodeDefaultsToServerTransform(t *testing.T) {
-	fwAAN := *testFramework()
-	fwAAN.Transform = dct.TransformAAN
-	_, ts := newTestServer(t, Options{Framework: &fwAAN})
-	img := testImages(t, 1)[0]
-	stream, err := fwAAN.Scheme().EncodeRGB(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec jpegcodec.Decoded
-	if err := jpegcodec.DecodeInto(bytes.NewReader(stream), &dec,
-		&jpegcodec.DecodeOptions{Transform: dct.TransformAAN}); err != nil {
-		t.Fatal(err)
-	}
-	var golden bytes.Buffer
-	if err := imgutil.WritePPM(&golden, dec.RGB()); err != nil {
-		t.Fatal(err)
-	}
-	resp, got := post(t, ts.URL+"/v1/decode?format=ppm", "image/jpeg", stream, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, golden.Bytes()) {
-		t.Fatal("default decode does not use the server's configured AAN engine")
 	}
 }
 
